@@ -26,10 +26,11 @@
 //! byte-identical across runs and is what CI diffs. `--smoke` shrinks
 //! the cycle counts for fast gating runs.
 //!
-//! The `sec` subcommand runs the SAT-sweeping miter sweep: every SEC
-//! workload checked sweep-off and sweep-on with verdict and
-//! counterexample-location parity asserted inside the harness, written
-//! to `BENCH_sec.json`. Same `--smoke`/`--out`/`--canonical` contract.
+//! The `sec` subcommand runs the miter-encoding sweep: every SEC
+//! workload checked under the Reference, Rewritten and Swept encodings
+//! with verdict and counterexample-location parity asserted inside the
+//! harness, written to `BENCH_sec.json`. Same
+//! `--smoke`/`--out`/`--canonical` contract.
 
 use dfv_bench::{secbench, simbench};
 use dfv_rtl::EvalMode;

@@ -11,43 +11,30 @@
 //! rendered text and the `timing` section, never in the canonical JSON.
 
 use dfv_core::{BlockPair, Campaign, CampaignOptions, RetryPolicy, VerificationPlan};
-use dfv_designs::{alu, fir};
+use dfv_designs::{alu, dist, fir};
 use dfv_obs::{Json, RunReport};
-use dfv_rtl::ModuleBuilder;
-use dfv_sec::{Binding, EquivSpec};
 
 use crate::render_table;
 
 /// Worker counts swept by the experiment.
 pub const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
-/// A genuinely-equivalent multiplier-commutativity block: `a * b` in the
-/// SLM against `b * a` in RTL, `width` bits per operand. SAT cost grows
-/// steeply with `width`, giving the plan a mix of cheap and pricey items.
-fn mul_block(width: u32) -> BlockPair {
-    let out = 2 * width;
-    let mut rb = ModuleBuilder::new("rtl_mul");
-    let a = rb.input("a", width);
-    let b = rb.input("b", width);
-    let (aw, bw) = (rb.zext(a, out), rb.zext(b, out));
-    let y = rb.mul(bw, aw);
-    rb.output("y", y);
+/// A genuinely-equivalent distributivity block ([`dist`]), `width` bits
+/// per operand. No word-level rewrite collapses it, so SAT cost grows
+/// steeply with `width` (about 10x per bit), giving a plan a mix of cheap
+/// and pricey items.
+pub(crate) fn dist_block(width: u32, name: String) -> BlockPair {
     BlockPair {
-        name: format!("mul{width}"),
-        slm_source: format!(
-            "uint<{out}> mul(uint<{width}> a, uint<{width}> b) {{ return (uint<{out}>)a * (uint<{out}>)b; }}"
-        ),
-        slm_entry: "mul".into(),
-        rtl: rb.finish().expect("mul rtl builds"),
-        spec: EquivSpec::new(1)
-            .bind("a", 0, Binding::Slm("a".into()))
-            .bind("b", 0, Binding::Slm("b".into()))
-            .compare("return", "y", 0),
+        name,
+        slm_source: dist::slm(width),
+        slm_entry: dist::ENTRY.into(),
+        rtl: dist::rtl(width),
+        spec: dist::equiv_spec(),
     }
 }
 
 /// The E11 plan: the ALU and FIR reference blocks plus a ramp of
-/// multiplier widths — eight independent proof obligations of uneven
+/// distributivity widths — eight independent proof obligations of uneven
 /// cost, which is exactly the load shape self-scheduling is for.
 pub fn e11_plan() -> VerificationPlan {
     let mut plan = VerificationPlan::new()
@@ -65,11 +52,10 @@ pub fn e11_plan() -> VerificationPlan {
             rtl: fir::rtl(),
             spec: fir::equiv_spec(),
         });
-    for width in [4, 4, 5, 5, 6, 6] {
-        let mut b = mul_block(width);
+    for width in [2, 2, 3, 3, 4, 4] {
         // Widths repeat, but names must stay unique within the plan.
-        b.name = format!("mul{width}_{}", plan.blocks.len());
-        plan = plan.block(b);
+        let name = format!("dist{width}_{}", plan.blocks.len());
+        plan = plan.block(dist_block(width, name));
     }
     plan
 }

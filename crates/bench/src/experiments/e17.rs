@@ -1,6 +1,6 @@
 //! E17 — the SAT-sweeping miter front-end: word-level rewriting plus
-//! simulation-guided fraiging before CNF, measured sweep-on versus
-//! sweep-off with verdict parity gated per workload.
+//! simulation-guided fraiging before CNF, measured under each of the
+//! three miter encodings with verdict parity gated per workload.
 //!
 //! Two halves, one report:
 //!
@@ -8,26 +8,28 @@
 //!   ([`crate::secbench::sec_bench_report`]): commuted multipliers, a
 //!   multiply-accumulate, reassociated adders, an FMA mantissa slice, the
 //!   memory-system fast bank, and a seeded-bug falsification. Each
-//!   workload is checked both ways; the verdicts and counterexample
-//!   mismatch locations are asserted identical before any number lands.
-//! * **The cliff** — commuted multiplier miters at widths the *unswept*
-//!   path cannot finish: sweep-off runs under a hard conflict budget and
-//!   degrades to Inconclusive, sweep-on proves the same miter outright in
-//!   milliseconds. The gate here is monotonicity, not parity: the swept
-//!   path may *rescue* a proof the raw path cannot afford, but the two
-//!   may never return contradictory Equivalent/NotEquivalent verdicts.
+//!   workload is checked under `Reference` (off), `Rewritten` (prod, the
+//!   default) and `Swept` (on); the verdicts and counterexample mismatch
+//!   locations are asserted identical before any number lands.
+//! * **The cliff** — commuted multiplier miters at widths the raw
+//!   `Reference` encoding cannot finish: it runs under a hard conflict
+//!   budget and degrades to Inconclusive, while the production and swept
+//!   encodings prove the same miter outright in milliseconds. The gate
+//!   here is monotonicity, not parity: an optimizing encoding may *rescue*
+//!   a proof the raw path cannot afford, but no two may return
+//!   contradictory Equivalent/NotEquivalent verdicts.
 //!
 //! Wall-clock lives only in the report's timing section; every counter is
 //! a pure function of the fixed workloads.
 
 use dfv_obs::{Json, RunReport};
-use dfv_sec::{check_equivalence_with, Budget, CheckOptions, EquivOutcome};
+use dfv_sec::{check_equivalence_with, Budget, CheckOptions, Encoding};
 
 use crate::render_table;
 use crate::secbench;
 
-/// Conflict budget for the unswept side of the cliff table — far above
-/// anything the swept side needs, far below what the raw miters want.
+/// Conflict budget for every encoding in the cliff table — far above
+/// anything the rewritten miters need, far below what the raw ones want.
 const CLIFF_CONFLICT_BUDGET: u64 = 20_000;
 
 /// Multiplier widths for the cliff table. Width 8 already costs the raw
@@ -38,56 +40,46 @@ const CLIFF_WIDTHS: [u32; 3] = [8, 12, 16];
 ///
 /// # Panics
 ///
-/// Panics if sweeping changes any workload's verdict or counterexample
-/// locations (the workload sweep), if the swept cliff miters fail to
-/// prove, or if a cliff pair returns contradictory verdicts.
+/// Panics if an encoding changes any workload's verdict or counterexample
+/// locations (the workload sweep), if the rewritten or swept cliff miters
+/// fail to prove, or if a cliff miter gets contradictory verdicts.
 pub fn e17_report() -> RunReport {
     let mut rep = secbench::sec_bench_report(false);
 
     for &w in &CLIFF_WIDTHS {
         let (slm, rtl, spec) = secbench::mul_pair(w, false);
-        let mut opts =
-            CheckOptions::with_budget(Budget::unlimited().with_conflicts(CLIFF_CONFLICT_BUDGET));
-        opts.fallback_transactions = 0;
-        let off = rep.phase(format!("cliff.mul{w}.off"), || {
-            check_equivalence_with(&slm, &rtl, &spec, &opts).unwrap()
-        });
-        let mut swept = opts;
-        swept.sweep = dfv_sec::SweepOptions::on();
-        let on = rep.phase(format!("cliff.mul{w}.on"), || {
-            check_equivalence_with(&slm, &rtl, &spec, &swept).unwrap()
-        });
-        // Monotonicity gate: sweeping may only *rescue* proofs, never
+        let mut codes = Vec::new();
+        for (tag, encoding) in secbench::ENCODINGS {
+            let mut opts = CheckOptions::with_budget(
+                Budget::unlimited().with_conflicts(CLIFF_CONFLICT_BUDGET),
+            );
+            opts.fallback_transactions = 0;
+            opts.encoding = encoding;
+            let r = rep.phase(format!("cliff.mul{w}.{tag}"), || {
+                check_equivalence_with(&slm, &rtl, &spec, &opts).unwrap()
+            });
+            if encoding != Encoding::Reference {
+                assert!(
+                    r.outcome.is_equivalent(),
+                    "mul{w}: {tag} commutativity miter must prove, got {:?}",
+                    r.outcome
+                );
+            }
+            codes.push(secbench::verdict_code(&r.outcome));
+            rep.set_counter(
+                format!("cliff.mul{w}.{tag}.verdict"),
+                secbench::verdict_code(&r.outcome),
+            );
+            rep.set_counter(
+                format!("cliff.mul{w}.{tag}.conflicts"),
+                r.solver_stats.conflicts,
+            );
+        }
+        // Monotonicity gate: an encoding may only *rescue* proofs, never
         // flip one. A contradiction here would be a soundness bug.
-        let contradiction = matches!(
-            (&off.outcome, &on.outcome),
-            (EquivOutcome::Equivalent, EquivOutcome::NotEquivalent(_))
-                | (EquivOutcome::NotEquivalent(_), EquivOutcome::Equivalent)
-        );
         assert!(
-            !contradiction,
-            "mul{w}: contradictory verdicts off={:?} on={:?}",
-            off.outcome, on.outcome
-        );
-        assert!(
-            on.outcome.is_equivalent(),
-            "mul{w}: swept commutativity miter must prove, got {:?}",
-            on.outcome
-        );
-        let code = |o: &EquivOutcome| match o {
-            EquivOutcome::Equivalent => 0u64,
-            EquivOutcome::NotEquivalent(_) => 1,
-            EquivOutcome::Inconclusive { .. } => 2,
-        };
-        rep.set_counter(format!("cliff.mul{w}.off.verdict"), code(&off.outcome));
-        rep.set_counter(format!("cliff.mul{w}.on.verdict"), code(&on.outcome));
-        rep.set_counter(
-            format!("cliff.mul{w}.off.conflicts"),
-            off.solver_stats.conflicts,
-        );
-        rep.set_counter(
-            format!("cliff.mul{w}.on.conflicts"),
-            on.solver_stats.conflicts,
+            !(codes.contains(&0) && codes.contains(&1)),
+            "mul{w}: contradictory verdicts across encodings {codes:?}"
         );
     }
     rep.set_value("cliff_conflict_budget", Json::UInt(CLIFF_CONFLICT_BUDGET));
@@ -109,28 +101,23 @@ pub fn e17_sat_sweeping() -> String {
             1 => "not-equiv",
             _ => "inconclusive",
         };
-        let (mut off_us, mut on_us) = (0u128, 0u128);
-        for p in rep.phases() {
-            if p.name == format!("cliff.mul{w}.off") {
-                off_us += p.wall.as_micros();
-            } else if p.name == format!("cliff.mul{w}.on") {
-                on_us += p.wall.as_micros();
-            }
+        let mut row = vec![format!("mul{w}_comm")];
+        for (tag, _) in secbench::ENCODINGS {
+            let name = format!("cliff.mul{w}.{tag}");
+            let us: u128 = rep
+                .phases()
+                .iter()
+                .filter(|p| p.name == name)
+                .map(|p| p.wall.as_micros())
+                .sum();
+            row.push(verdict(rep.counter(&format!("{name}.verdict"))).into());
+            row.push(rep.counter(&format!("{name}.conflicts")).to_string());
+            row.push(us.to_string());
         }
-        rows.push(vec![
-            format!("mul{w}_comm"),
-            verdict(rep.counter(&format!("cliff.mul{w}.off.verdict"))).into(),
-            rep.counter(&format!("cliff.mul{w}.off.conflicts"))
-                .to_string(),
-            format!("{off_us}"),
-            verdict(rep.counter(&format!("cliff.mul{w}.on.verdict"))).into(),
-            rep.counter(&format!("cliff.mul{w}.on.conflicts"))
-                .to_string(),
-            format!("{on_us}"),
-        ]);
+        rows.push(row);
     }
     out.push_str(&format!(
-        "\nbeyond the cliff: commuted multiplier miters, sweep-off capped at {CLIFF_CONFLICT_BUDGET} conflicts\n\n"
+        "\nbeyond the cliff: commuted multiplier miters, every encoding capped at {CLIFF_CONFLICT_BUDGET} conflicts\n\n"
     ));
     out.push_str(&render_table(
         &[
@@ -138,6 +125,9 @@ pub fn e17_sat_sweeping() -> String {
             "off verdict",
             "off conflicts",
             "off us",
+            "prod verdict",
+            "prod conflicts",
+            "prod us",
             "on verdict",
             "on conflicts",
             "on us",
@@ -145,7 +135,7 @@ pub fn e17_sat_sweeping() -> String {
         &rows,
     ));
     out.push_str(
-        "\nsweep-off exhausts its conflict budget and degrades to Inconclusive on every\nwidth; sweep-on proves each miter with zero solver conflicts. Sweeping may\nrescue a proof the raw path cannot afford, but contradictory verdicts are\nasserted impossible before this table is printed.\n",
+        "\nthe raw Reference miter (off) exhausts its conflict budget and degrades to\nInconclusive on every width; the production rewrite (prod) and the swept encoding\n(on) prove each miter with zero solver conflicts. An optimizing encoding may\nrescue a proof the raw path cannot afford, but contradictory verdicts are\nasserted impossible before this table is printed.\n",
     );
     out
 }
@@ -153,6 +143,7 @@ pub fn e17_sat_sweeping() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dfv_sec::EquivOutcome;
 
     /// A debug-build-sized slice of the cliff: one width, a small
     /// budget. The full table (all widths, 20k-conflict budget, the
@@ -163,14 +154,17 @@ mod tests {
         let (slm, rtl, spec) = secbench::mul_pair(8, false);
         let mut opts = CheckOptions::with_budget(Budget::unlimited().with_conflicts(500));
         opts.fallback_transactions = 0;
+        opts.encoding = Encoding::Reference;
         let off = check_equivalence_with(&slm, &rtl, &spec, &opts).unwrap();
         assert!(
             matches!(off.outcome, EquivOutcome::Inconclusive { .. }),
             "raw mul8 commutativity must exhaust a 500-conflict budget"
         );
-        opts.sweep = dfv_sec::SweepOptions::on();
-        let on = check_equivalence_with(&slm, &rtl, &spec, &opts).unwrap();
-        assert!(on.outcome.is_equivalent(), "{:?}", on.outcome);
-        assert_eq!(on.solver_stats.conflicts, 0);
+        for encoding in [Encoding::Rewritten, Encoding::Swept] {
+            opts.encoding = encoding;
+            let on = check_equivalence_with(&slm, &rtl, &spec, &opts).unwrap();
+            assert!(on.outcome.is_equivalent(), "{:?}", on.outcome);
+            assert_eq!(on.solver_stats.conflicts, 0);
+        }
     }
 }

@@ -1,28 +1,39 @@
-//! The SEC sweeping benchmark behind `bench sec` and E17: every miter
-//! workload is checked twice — sweep-off (the raw bit-blasted miter) and
-//! sweep-on (word-level rewriting + simulation-guided fraiging, `dfv-sec`'s
-//! [`SweepOptions`]) — and the two runs' *verdicts* and counterexample
-//! mismatch locations are asserted identical before any number lands in
-//! the report. The comparable payload is the deterministic counter set
+//! The SEC front-end benchmark behind `bench sec` and E17: every miter
+//! workload is checked under each of `dfv-sec`'s three [`Encoding`]s —
+//! `off` (the raw bit-blasted `Reference` miter, the oracle), `prod` (the
+//! production `Rewritten` encoding: word-level rewriting only) and `on`
+//! (`Swept`: rewriting + simulation-guided fraiging) — and the three runs'
+//! *verdicts* and counterexample mismatch locations are asserted identical
+//! before any number lands in the report. The comparable payload is the deterministic counter set
 //! (SAT conflicts, CNF size, sweep statistics, a structural
 //! counterexample hash); wall-clock lives only in the timing section, so
 //! the canonical JSON reproduces byte-for-byte across processes while the
 //! full JSON still carries the measured speedup.
 //!
 //! The counterexample hash folds only mismatch *locations* (output names
-//! and the RTL sample cycle): sweeping legitimately changes which
+//! and the RTL sample cycle): the encoding legitimately changes which
 //! satisfying assignment the solver surfaces, but never *where* the
 //! models can be made to disagree — and each counterexample has already
 //! been replayed concretely by the checker before it reaches this module.
 
 use dfv_obs::{Json, RunReport};
 use dfv_rtl::{Module, ModuleBuilder};
-use dfv_sec::{check_equivalence_with, Binding, CheckOptions, EquivOutcome, EquivSpec};
+use dfv_sec::{
+    check_equivalence_with, Binding, CheckOptions, Encoding, EquivOutcome, EquivReport, EquivSpec,
+};
 
-/// Wall-clock repetitions per workload; off/on runs are interleaved
-/// within each repetition (same rationale as the simulator sweep: the
-/// *ratio* is the measurement, so both sides must see the same load).
+/// Wall-clock repetitions per workload; the three encodings' runs are
+/// interleaved within each repetition (same rationale as the simulator
+/// sweep: the *ratio* is the measurement, so every side must see the same
+/// load).
 const TIMING_REPS: usize = 5;
+
+/// The report tag of each encoding, in column order.
+pub(crate) const ENCODINGS: [(&str, Encoding); 3] = [
+    ("off", Encoding::Reference),
+    ("prod", Encoding::Rewritten),
+    ("on", Encoding::Swept),
+];
 
 /// One named miter workload: both models, the transaction spec, and
 /// whether the pair is equivalent by construction (checked, not trusted).
@@ -283,7 +294,7 @@ fn cex_hash(outcome: &EquivOutcome) -> u64 {
     h
 }
 
-fn verdict_code(outcome: &EquivOutcome) -> u64 {
+pub(crate) fn verdict_code(outcome: &EquivOutcome) -> u64 {
     match outcome {
         EquivOutcome::Equivalent => 0,
         EquivOutcome::NotEquivalent(_) => 1,
@@ -291,57 +302,62 @@ fn verdict_code(outcome: &EquivOutcome) -> u64 {
     }
 }
 
-/// Runs the sweep-on/sweep-off miter sweep and reduces it to a
+/// Runs every workload under every encoding and reduces the runs to a
 /// [`RunReport`]. Counters are a pure function of the workloads (the
 /// canonical JSON is byte-reproducible across processes); per-workload
 /// timing phases carry the wall-clock.
 ///
 /// # Panics
 ///
-/// Panics if sweeping changes any workload's verdict or counterexample
-/// mismatch locations, or if a by-construction-equivalent workload is
-/// falsified — each of those would be a checker bug, not a measurement.
-/// The asserts fire before the report (and thus any timing) is returned.
+/// Panics if an encoding changes any workload's verdict or counterexample
+/// mismatch locations relative to the `Reference` oracle, or if a
+/// by-construction-equivalent workload is falsified — each of those would
+/// be a checker bug, not a measurement. The asserts fire before the report
+/// (and thus any timing) is returned.
 pub fn sec_bench_report(smoke: bool) -> RunReport {
     let mut rep = RunReport::new("sec_sweep");
     rep.set_value("smoke", Json::Bool(smoke));
     for w in &WORKLOADS {
         let (slm, rtl, spec) = (w.build)(smoke);
-        let opt_off = CheckOptions::default();
-        let opt_on = CheckOptions::swept();
-        // Best-of-N wall clock, off/on interleaved within each
-        // repetition so load drift cannot skew the ratio. The verdicts
+        // Best-of-N wall clock, encodings interleaved within each
+        // repetition so load drift cannot skew the ratios. The verdicts
         // and counters are deterministic — identical across repetitions
         // — so only the first repetition's reports are kept.
-        let mut best_off = std::time::Duration::MAX;
-        let mut best_on = std::time::Duration::MAX;
-        let mut kept: Option<(dfv_sec::EquivReport, dfv_sec::EquivReport)> = None;
-        for _ in 0..TIMING_REPS {
-            let t = std::time::Instant::now();
-            let off = check_equivalence_with(&slm, &rtl, &spec, &opt_off).unwrap();
-            best_off = best_off.min(t.elapsed());
-            let t = std::time::Instant::now();
-            let on = check_equivalence_with(&slm, &rtl, &spec, &opt_on).unwrap();
-            best_on = best_on.min(t.elapsed());
-            kept.get_or_insert((off, on));
+        let mut best = [std::time::Duration::MAX; 3];
+        let mut kept: Vec<EquivReport> = Vec::new();
+        for rep_i in 0..TIMING_REPS {
+            for (i, (_, encoding)) in ENCODINGS.iter().enumerate() {
+                let opts = CheckOptions {
+                    encoding: *encoding,
+                    ..CheckOptions::default()
+                };
+                let t = std::time::Instant::now();
+                let r = check_equivalence_with(&slm, &rtl, &spec, &opts).unwrap();
+                best[i] = best[i].min(t.elapsed());
+                if rep_i == 0 {
+                    kept.push(r);
+                }
+            }
         }
-        let (off, on) = kept.expect("at least one timing rep");
+        let off = &kept[0];
 
         // Parity gates — everything below is measurement, this is truth.
-        assert_eq!(
-            verdict_code(&off.outcome),
-            verdict_code(&on.outcome),
-            "workload {}: sweeping changed the verdict: off={:?} on={:?}",
-            w.name,
-            off.outcome,
-            on.outcome
-        );
-        assert_eq!(
-            cex_hash(&off.outcome),
-            cex_hash(&on.outcome),
-            "workload {}: sweeping changed the counterexample locations",
-            w.name
-        );
+        for ((tag, _), r) in ENCODINGS.iter().zip(&kept).skip(1) {
+            assert_eq!(
+                verdict_code(&off.outcome),
+                verdict_code(&r.outcome),
+                "workload {}: encoding {tag} changed the verdict: off={:?} {tag}={:?}",
+                w.name,
+                off.outcome,
+                r.outcome
+            );
+            assert_eq!(
+                cex_hash(&off.outcome),
+                cex_hash(&r.outcome),
+                "workload {}: encoding {tag} changed the counterexample locations",
+                w.name
+            );
+        }
         assert_eq!(
             w.equivalent,
             off.outcome.is_equivalent(),
@@ -350,14 +366,13 @@ pub fn sec_bench_report(smoke: bool) -> RunReport {
             off.outcome
         );
 
-        rep.push_phase(format!("{}.off", w.name), best_off);
-        rep.push_phase(format!("{}.on", w.name), best_on);
         rep.set_counter(
             format!("sec.{}.verdict", w.name),
             verdict_code(&off.outcome),
         );
         rep.set_counter(format!("sec.{}.cex_hash", w.name), cex_hash(&off.outcome));
-        for (tag, r) in [("off", &off), ("on", &on)] {
+        for (((tag, _), r), wall) in ENCODINGS.iter().zip(&kept).zip(best) {
+            rep.push_phase(format!("{}.{tag}", w.name), wall);
             rep.set_counter(
                 format!("sec.{}.{tag}.conflicts", w.name),
                 r.solver_stats.conflicts,
@@ -368,7 +383,7 @@ pub fn sec_bench_report(smoke: bool) -> RunReport {
                 r.cnf_clauses as u64,
             );
         }
-        let sw = on.sweep.expect("sweep-on run carries sweep stats");
+        let sw = kept[2].sweep.expect("swept run carries sweep stats");
         rep.set_counter(format!("sec.{}.sweep.classes", w.name), sw.classes);
         rep.set_counter(format!("sec.{}.sweep.candidates", w.name), sw.candidates);
         rep.set_counter(format!("sec.{}.sweep.proved", w.name), sw.proved);
@@ -378,10 +393,12 @@ pub fn sec_bench_report(smoke: bool) -> RunReport {
             format!("sec.{}.sweep.proof_conflicts", w.name),
             sw.proof_conflicts,
         );
-        rep.set_value(
-            format!("conflicts_off_over_on_x100.{}", w.name),
-            Json::UInt(off.solver_stats.conflicts * 100 / on.solver_stats.conflicts.max(1)),
-        );
+        for (tag, r) in [("prod", &kept[1]), ("on", &kept[2])] {
+            rep.set_value(
+                format!("conflicts_off_over_{tag}_x100.{}", w.name),
+                Json::UInt(off.solver_stats.conflicts * 100 / r.solver_stats.conflicts.max(1)),
+            );
+        }
     }
     rep
 }
@@ -396,53 +413,46 @@ fn phase_us(rep: &RunReport, workload: &str, tag: &str) -> u128 {
         .sum()
 }
 
-/// Renders the sweep as a table: one row per workload, sweep-off versus
-/// sweep-on conflicts and wall-clock.
+/// Renders the sweep as a table: one row per workload, conflicts and
+/// wall-clock under each encoding.
 pub fn render_sec_bench(rep: &RunReport) -> String {
     let mut out = String::from(
-        "SEC sweeping front-end: raw bit-blasted miter (off) vs word-level rewriting\n+ simulation-guided fraiging (on), verdict parity asserted per workload\n\n",
+        "SEC miter encodings: raw bit-blasted miter (off, the Reference oracle) vs\nword-level rewriting (prod, the Rewritten default) vs rewriting + simulation-guided\nfraiging (on, Swept), verdict parity asserted per workload\n\n",
     );
     let mut rows = Vec::new();
     for w in &WORKLOADS {
-        let c_off = rep.counter(&format!("sec.{}.off.conflicts", w.name));
-        let c_on = rep.counter(&format!("sec.{}.on.conflicts", w.name));
-        let us_off = phase_us(rep, w.name, "off");
-        let us_on = phase_us(rep, w.name, "on");
         let verdict = match rep.counter(&format!("sec.{}.verdict", w.name)) {
             0 => "equivalent",
             1 => "not-equiv",
             _ => "inconclusive",
         };
-        rows.push(vec![
-            w.name.to_string(),
-            verdict.to_string(),
-            c_off.to_string(),
-            c_on.to_string(),
-            format!("{:.1}x", c_off as f64 / c_on.max(1) as f64),
-            format!("{us_off}"),
-            format!("{us_on}"),
-            if us_on > 0 {
-                format!("{:.1}x", us_off as f64 / us_on as f64)
-            } else {
-                "-".into()
-            },
-        ]);
+        let mut row = vec![w.name.to_string(), verdict.to_string()];
+        for (tag, _) in ENCODINGS {
+            row.push(
+                rep.counter(&format!("sec.{}.{tag}.conflicts", w.name))
+                    .to_string(),
+            );
+        }
+        for (tag, _) in ENCODINGS {
+            row.push(phase_us(rep, w.name, tag).to_string());
+        }
+        rows.push(row);
     }
     out.push_str(&crate::render_table(
         &[
             "workload",
             "verdict",
             "conflicts off",
+            "conflicts prod",
             "conflicts on",
-            "ratio",
             "off us",
+            "prod us",
             "on us",
-            "wall speedup",
         ],
         &rows,
     ));
     out.push_str(
-        "\nconflicts (and all sweep.* counters) are deterministic and form the canonical\nJSON payload; the us / speedup columns are measured wall-clock and live only in\nthe full JSON's timing section. Verdicts and counterexample mismatch locations\nare asserted identical off-vs-on before the report exists.\n",
+        "\nconflicts (and all sweep.* counters) are deterministic and form the canonical\nJSON payload; the us columns are measured wall-clock (best of 5, encodings\ninterleaved) and live only in the full JSON's timing section. Verdicts and\ncounterexample mismatch locations are asserted identical across the three\nencodings before the report exists.\n",
     );
     out
 }
@@ -458,7 +468,8 @@ mod tests {
         assert_eq!(a.canonical_json(), b.canonical_json());
         assert!(!a.canonical_json().contains("wall_us"));
         // The two commutativity workloads must show an integer-factor
-        // conflict drop even in smoke mode.
+        // conflict drop even in smoke mode, and the production encoding
+        // alone must collapse them outright.
         for w in ["mul_comm", "madd_comm"] {
             let off = a.counter(&format!("sec.{w}.off.conflicts"));
             let on = a.counter(&format!("sec.{w}.on.conflicts"));
@@ -466,6 +477,7 @@ mod tests {
                 off >= 2 * on.max(1),
                 "{w}: conflicts off {off} vs on {on} — sweep lost its edge"
             );
+            assert_eq!(a.counter(&format!("sec.{w}.prod.conflicts")), 0, "{w}");
         }
         // The seeded bug is found with matching mismatch locations.
         assert_eq!(a.counter("sec.mul_bug.verdict"), 1);

@@ -1113,25 +1113,17 @@ mod tests {
         }
     }
 
-    /// A deliberately hard, genuinely-equivalent block: 16×16→32 multiplier
-    /// commutativity (`a*b` in the SLM vs `b*a` in the RTL), which CDCL
-    /// cannot settle under a tiny budget.
+    /// A deliberately hard, genuinely-equivalent block: 16-bit
+    /// distributivity ([`dfv_designs::dist`]). No word-level rewrite
+    /// collapses it, so CDCL cannot settle it under a tiny budget.
     fn hard_block() -> BlockPair {
-        let mut rb = ModuleBuilder::new("rtl_mul");
-        let a = rb.input("a", 16);
-        let b = rb.input("b", 16);
-        let (aw, bw) = (rb.zext(a, 32), rb.zext(b, 32));
-        let y = rb.mul(bw, aw);
-        rb.output("y", y);
+        use dfv_designs::dist;
         BlockPair {
-            name: "mul".into(),
-            slm_source: "uint32 mul(uint16 a, uint16 b) { return (uint32)a * (uint32)b; }".into(),
-            slm_entry: "mul".into(),
-            rtl: rb.finish().unwrap(),
-            spec: EquivSpec::new(1)
-                .bind("a", 0, Binding::Slm("a".into()))
-                .bind("b", 0, Binding::Slm("b".into()))
-                .compare("return", "y", 0),
+            name: "dist".into(),
+            slm_source: dist::slm(16),
+            slm_entry: dist::ENTRY.into(),
+            rtl: dist::rtl(16),
+            spec: dist::equiv_spec(),
         }
     }
 

@@ -16,6 +16,7 @@ use dfv_core::{
     BlockPair, BlockStatus, Campaign, CampaignOptions, CampaignReport, ChaosPlan, IoHandle,
     JournalLoad, RetryPolicy, VerificationPlan,
 };
+use dfv_designs::dist;
 use dfv_rtl::{Module, ModuleBuilder};
 use dfv_sec::{Binding, Budget, EquivSpec};
 use std::path::PathBuf;
@@ -69,25 +70,15 @@ fn random_block(i: usize, rng: &mut SplitMix64) -> BlockPair {
             spec,
         },
         _ => {
-            // 12x12 multiplier commutativity: beyond the tiny budget below,
+            // 12-bit distributivity, a*(b+c) vs a*b + a*c: untouched by
+            // the word-level rewriter and beyond the tiny budget below,
             // deterministically inconclusive.
-            let mut rb = ModuleBuilder::new("rtl_mul");
-            let a = rb.input("a", 12);
-            let b = rb.input("b", 12);
-            let (aw, bw) = (rb.zext(a, 24), rb.zext(b, 24));
-            let y = rb.mul(bw, aw);
-            rb.output("y", y);
             BlockPair {
                 name,
-                slm_source:
-                    "uint<24> mul(uint<12> a, uint<12> b) { return (uint<24>)a * (uint<24>)b; }"
-                        .into(),
-                slm_entry: "mul".into(),
-                rtl: rb.finish().unwrap(),
-                spec: EquivSpec::new(1)
-                    .bind("a", 0, Binding::Slm("a".into()))
-                    .bind("b", 0, Binding::Slm("b".into()))
-                    .compare("return", "y", 0),
+                slm_source: dist::slm(12),
+                slm_entry: dist::ENTRY.into(),
+                rtl: dist::rtl(12),
+                spec: dist::equiv_spec(),
             }
         }
     }

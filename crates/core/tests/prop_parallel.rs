@@ -14,6 +14,7 @@ use dfv_core::{
     VerificationPlan,
 };
 use dfv_cosim::{ComparatorPolicy, StreamItem};
+use dfv_designs::dist;
 use dfv_rtl::{Module, ModuleBuilder};
 use dfv_sec::{Binding, Budget, EquivSpec};
 
@@ -30,7 +31,7 @@ fn inc_rtl(offset: u64) -> Module {
 
 /// A block whose flavor (verdict class) is drawn from the generator:
 /// pass, fail (wrong constant), parse error, lint-blocked, or a
-/// multiplier too hard for the tiny test budget (inconclusive).
+/// distributivity miter too hard for the tiny test budget (inconclusive).
 fn random_block(i: usize, rng: &mut SplitMix64) -> BlockPair {
     let name = format!("b{i}");
     let spec = EquivSpec::new(1)
@@ -67,26 +68,16 @@ fn random_block(i: usize, rng: &mut SplitMix64) -> BlockPair {
             spec,
         },
         _ => {
-            // 12x12 multiplier commutativity: genuinely equivalent but far
+            // 12-bit distributivity, a*(b+c) vs a*b + a*c: genuinely
+            // equivalent, untouched by the word-level rewriter, and far
             // beyond the tiny conflict budget below — deterministically
             // Inconclusive with seeded falsification evidence.
-            let mut rb = ModuleBuilder::new("rtl_mul");
-            let a = rb.input("a", 12);
-            let b = rb.input("b", 12);
-            let (aw, bw) = (rb.zext(a, 24), rb.zext(b, 24));
-            let y = rb.mul(bw, aw);
-            rb.output("y", y);
             BlockPair {
                 name,
-                slm_source:
-                    "uint<24> mul(uint<12> a, uint<12> b) { return (uint<24>)a * (uint<24>)b; }"
-                        .into(),
-                slm_entry: "mul".into(),
-                rtl: rb.finish().unwrap(),
-                spec: EquivSpec::new(1)
-                    .bind("a", 0, Binding::Slm("a".into()))
-                    .bind("b", 0, Binding::Slm("b".into()))
-                    .compare("return", "y", 0),
+                slm_source: dist::slm(12),
+                slm_entry: dist::ENTRY.into(),
+                rtl: dist::rtl(12),
+                spec: dist::equiv_spec(),
             }
         }
     }

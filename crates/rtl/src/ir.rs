@@ -143,7 +143,7 @@ impl BinOp {
 }
 
 /// One combinational node.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Node {
     /// The value of input port `inputs[idx]`.
     Input(usize),

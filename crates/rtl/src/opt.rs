@@ -29,7 +29,9 @@
 //! operands first), so chains like `(x << 3) << 2` fold even when the
 //! inner shift was itself produced by a rewrite.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use dfv_bits::Bv;
 
@@ -55,79 +57,34 @@ pub struct OptStats {
     pub dce_removed: u64,
 }
 
-/// Canonical GVN key of a rewritten node. Commutative binary operators
-/// are keyed with sorted operands so operand order cannot split a value
-/// class.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum Key {
-    Input(usize),
-    Const(u32, Vec<u64>),
-    RegQ(usize),
-    MemReadData(usize, usize),
-    InstOut(usize, usize),
-    Un(UnOp, u32),
-    Bin(BinOp, u32, u32),
-    Mux(u32, u32, u32),
-    Slice(u32, u32, u32),
-    Concat(u32, u32),
-    Zext(u32, u32),
-    Sext(u32, u32),
-}
-
 /// The in-progress rewritten module: nodes, widths, and the GVN table.
+///
+/// The table is keyed by the rewritten [`Node`] itself: commutative
+/// operands are stored in canonical (sorted) order before interning, so
+/// operand order cannot split a value class.
 struct Builder {
     nodes: Vec<Node>,
     widths: Vec<u32>,
-    /// Rewritten constant value per new node (`None` for non-constants).
-    consts: Vec<Option<Bv>>,
-    table: HashMap<Key, NodeId>,
+    table: HashMap<Node, NodeId, BuildHasherDefault<GvnHasher>>,
 }
 
 impl Builder {
-    fn key_of(&self, node: &Node) -> Key {
-        match node {
-            Node::Input(i) => Key::Input(*i),
-            Node::Const(v) => Key::Const(v.width(), v.limbs().to_vec()),
-            Node::RegQ(r) => Key::RegQ(r.index()),
-            Node::MemReadData(m, p) => Key::MemReadData(m.index(), *p),
-            Node::InstOut(i, o) => Key::InstOut(i.0 as usize, *o),
-            Node::Un(op, a) => Key::Un(*op, a.index() as u32),
-            Node::Bin(op, a, b) => {
-                let (x, y) = (a.index() as u32, b.index() as u32);
-                if commutes(*op) && y < x {
-                    Key::Bin(*op, y, x)
-                } else {
-                    Key::Bin(*op, x, y)
-                }
-            }
-            Node::Mux { sel, t, f } => {
-                Key::Mux(sel.index() as u32, t.index() as u32, f.index() as u32)
-            }
-            Node::Slice { src, hi, lo } => Key::Slice(src.index() as u32, *hi, *lo),
-            Node::Concat(h, l) => Key::Concat(h.index() as u32, l.index() as u32),
-            Node::Zext(a, w) => Key::Zext(a.index() as u32, *w),
-            Node::Sext(a, w) => Key::Sext(a.index() as u32, *w),
-        }
-    }
-
     /// Interns `node` (which must reference only already-interned nodes),
     /// returning the existing value number on a GVN hit.
     fn intern(&mut self, node: Node, width: u32, stats: &mut OptStats) -> NodeId {
-        let key = self.key_of(&node);
-        if let Some(&id) = self.table.get(&key) {
-            stats.gvn_merged += 1;
-            return id;
+        match self.table.entry(node) {
+            Entry::Occupied(e) => {
+                stats.gvn_merged += 1;
+                *e.get()
+            }
+            Entry::Vacant(e) => {
+                let id = NodeId(self.nodes.len() as u32);
+                self.nodes.push(e.key().clone());
+                self.widths.push(width);
+                e.insert(id);
+                id
+            }
         }
-        let id = NodeId(self.nodes.len() as u32);
-        let cv = match &node {
-            Node::Const(v) => Some(v.clone()),
-            _ => None,
-        };
-        self.nodes.push(node);
-        self.widths.push(width);
-        self.consts.push(cv);
-        self.table.insert(key, id);
-        id
     }
 
     fn intern_const(&mut self, v: Bv, stats: &mut OptStats) -> NodeId {
@@ -137,7 +94,52 @@ impl Builder {
 
     /// The constant value of an interned node, if it is one.
     fn const_of(&self, id: NodeId) -> Option<&Bv> {
-        self.consts[id.index()].as_ref()
+        match &self.nodes[id.index()] {
+            Node::Const(v) => Some(v),
+            _ => None,
+        }
+    }
+}
+
+/// FxHash-style multiplicative hasher for the GVN table. Its keys are a
+/// discriminant plus a few small integers, where SipHash's per-key setup
+/// would cost more than the rest of the interning.
+#[derive(Default)]
+struct GvnHasher(u64);
+
+impl GvnHasher {
+    fn add(&mut self, x: u64) {
+        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for GvnHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut buf = [0u8; 8];
+            buf[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(buf));
+        }
+    }
+
+    fn write_u8(&mut self, x: u8) {
+        self.add(x.into());
+    }
+
+    fn write_u32(&mut self, x: u32) {
+        self.add(x.into());
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.add(x);
+    }
+
+    fn write_usize(&mut self, x: usize) {
+        self.add(x as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
     }
 }
 
@@ -171,8 +173,7 @@ pub fn optimize(module: &Module) -> (Module, Vec<Option<NodeId>>, OptStats) {
     let mut b = Builder {
         nodes: Vec::with_capacity(module.nodes.len()),
         widths: Vec::with_capacity(module.nodes.len()),
-        consts: Vec::with_capacity(module.nodes.len()),
-        table: HashMap::new(),
+        table: HashMap::with_capacity_and_hasher(module.nodes.len(), Default::default()),
     };
     // Forward rewrite: every old node gets a value number over the new
     // node vector. Operands are looked up through `map`, so rules see
@@ -239,13 +240,12 @@ pub fn optimize(module: &Module) -> (Module, Vec<Option<NodeId>>, OptStats) {
         mems: module.mems.clone(),
         instances: module.instances.clone(),
     };
-    for (i, node) in b.nodes.iter().enumerate() {
+    for (i, mut n) in std::mem::take(&mut b.nodes).into_iter().enumerate() {
         if !live[i] {
             stats.dce_removed += 1;
             continue;
         }
         let id = NodeId(out.nodes.len() as u32);
-        let mut n = node.clone();
         remap_operands(&mut n, &compact);
         out.nodes.push(n);
         out.node_widths.push(b.widths[i]);

@@ -13,7 +13,7 @@ use dfv_sat::{Budget, ExhaustedReason, Lit, SolveResult, Solver, SolverStats};
 
 use crate::bitblast::{model_word, BitBlaster};
 use crate::spec::{Binding, EquivSpec, InitState, SecError};
-use crate::sweep::{rtl_site, SweepOptions, SweepStats, Sweeper, SLM_SITE};
+use crate::sweep::{rtl_site, Encoding, SweepStats, Sweeper, SLM_SITE};
 use crate::unroll::{eval_comb_symbolic, eval_comb_symbolic_hooked, SymbolicSim};
 
 /// One output disagreement within a counterexample.
@@ -127,7 +127,8 @@ impl EquivOutcome {
 ///
 /// The default is an unlimited budget (the solver runs to completion, so
 /// the outcome is never [`EquivOutcome::Inconclusive`]) with a 256-
-/// transaction simulation fallback should a caller-supplied budget run out.
+/// transaction simulation fallback should a caller-supplied budget run out,
+/// over the [`Encoding::Rewritten`] miter.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CheckOptions {
     /// Resource budget for the SAT search.
@@ -138,10 +139,9 @@ pub struct CheckOptions {
     pub fallback_transactions: u64,
     /// Seed for the fallback stimulus generator.
     pub fallback_seed: u64,
-    /// The SAT-sweeping front-end (word-level rewriting, signature
-    /// classes, budgeted merge proofs). Off by default; verdict-neutral
-    /// when on.
-    pub sweep: SweepOptions,
+    /// How the miter is encoded into CNF. Verdict-neutral: the choice
+    /// changes only the solver's work.
+    pub encoding: Encoding,
 }
 
 impl Default for CheckOptions {
@@ -150,7 +150,7 @@ impl Default for CheckOptions {
             budget: Budget::unlimited(),
             fallback_transactions: 256,
             fallback_seed: 0xDF5,
-            sweep: SweepOptions::default(),
+            encoding: Encoding::default(),
         }
     }
 }
@@ -160,14 +160,6 @@ impl CheckOptions {
     pub fn with_budget(budget: Budget) -> Self {
         CheckOptions {
             budget,
-            ..CheckOptions::default()
-        }
-    }
-
-    /// The default options with the sweeping front-end enabled.
-    pub fn swept() -> Self {
-        CheckOptions {
-            sweep: SweepOptions::on(),
             ..CheckOptions::default()
         }
     }
@@ -184,7 +176,8 @@ pub struct EquivReport {
     pub cnf_clauses: usize,
     /// SAT search statistics.
     pub solver_stats: SolverStats,
-    /// What the sweeping front-end did, when it was enabled.
+    /// What the optimizing front-end did; `None` for
+    /// [`Encoding::Reference`].
     pub sweep: Option<SweepStats>,
     /// Wall-clock time of the whole check.
     pub duration: Duration,
@@ -297,7 +290,7 @@ fn check_equivalence_inner(
     obs: &ObsHook,
 ) -> Result<EquivReport, SecError> {
     let start = Instant::now();
-    let mut ctx = build_miter(slm, rtl, spec, &opts.sweep)?;
+    let mut ctx = build_miter(slm, rtl, spec, opts.encoding)?;
     obs.begin_span("sec.equiv");
     if let Some(rec) = obs.recorder() {
         ctx.solver.set_recorder(rec);
@@ -316,7 +309,12 @@ fn check_equivalence_inner(
         obs.add("sec.sweep.refuted", s.refuted);
         obs.add("sec.sweep.merged_lits", s.merged_lits);
         obs.add("sec.sweep.proof_conflicts", s.proof_conflicts);
-        obs.add("sec.sweep.nodes_removed", s.nodes_before - s.nodes_after);
+        // A rewrite may also add nodes (a shift chain whose inner shift
+        // stays live gains a fused shift and its amount), so saturate.
+        obs.add(
+            "sec.sweep.nodes_removed",
+            s.nodes_before.saturating_sub(s.nodes_after),
+        );
     }
     let outcome = match ctx.solver.solve_budgeted(&[], &opts.budget) {
         SolveResult::Unsat => EquivOutcome::Equivalent,
@@ -398,7 +396,8 @@ pub struct PerOutputReport {
     pub verdicts: Vec<OutputVerdict>,
     /// CNF variables allocated (shared across all outputs).
     pub cnf_vars: usize,
-    /// What the sweeping front-end did, when it was enabled.
+    /// What the optimizing front-end did; `None` for
+    /// [`Encoding::Reference`].
     pub sweep: Option<SweepStats>,
     /// Total wall-clock time.
     pub duration: Duration,
@@ -448,7 +447,7 @@ pub fn check_equivalence_per_output_with(
     opts: &CheckOptions,
 ) -> Result<PerOutputReport, SecError> {
     let start = Instant::now();
-    let mut ctx = build_miter(slm, rtl, spec, &opts.sweep)?;
+    let mut ctx = build_miter(slm, rtl, spec, opts.encoding)?;
     let cnf_vars = ctx.solver.num_vars();
     let mut verdicts = Vec::with_capacity(spec.compares.len());
     for (cp, &diff) in spec.compares.iter().zip(&ctx.diffs) {
@@ -495,39 +494,38 @@ struct MiterCtx {
     sweep: Option<SweepStats>,
 }
 
-/// Encodes the miter. With sweeping enabled, both modules are first
-/// canonicalized by `dfv_rtl::optimize` and the *optimized* modules are
-/// encoded, with the [`Sweeper`]'s per-node hook proving and merging
-/// candidate-equal bits as the encoding proceeds (deterministic order:
-/// SLM nodes, then RTL cycles 0..k). The optimizer preserves ports,
-/// registers, and memories by name and order, so counterexample
+/// Encodes the miter under `encoding`. Unless it is
+/// [`Encoding::Reference`], both modules are first canonicalized by
+/// `dfv_rtl::optimize` and the *optimized* modules are encoded; under
+/// [`Encoding::Swept`] the [`Sweeper`]'s per-node hook also proves and
+/// merges candidate-equal bits as the encoding proceeds (deterministic
+/// order: SLM nodes, then RTL cycles 0..k). The optimizer preserves
+/// ports, registers, and memories by name and order, so counterexample
 /// extraction and concrete replay keep using the caller's original
 /// modules.
 fn build_miter(
     slm: &Module,
     rtl: &Module,
     spec: &EquivSpec,
-    sweep: &SweepOptions,
+    encoding: Encoding,
 ) -> Result<MiterCtx, SecError> {
     spec.validate(slm, rtl)?;
     dfv_rtl::check_module(slm)?;
     dfv_rtl::check_module(rtl)?;
 
-    // Sweeping stages 1 (word-level rewriting) and 2 (signature classes).
-    let mut sweeper = None;
-    let optimized = if sweep.enabled {
-        let (slm_o, _, _) = dfv_rtl::optimize(slm);
-        let (rtl_o, _, _) = dfv_rtl::optimize(rtl);
-        let mut sw = Sweeper::analyze(&slm_o, &rtl_o, spec, sweep)?;
-        sw.add_opt_stats(
-            slm.nodes.len() + rtl.nodes.len(),
-            slm_o.nodes.len() + rtl_o.nodes.len(),
-        );
-        sweeper = Some(sw);
-        Some((slm_o, rtl_o))
-    } else {
-        None
+    // Stage 1 (word-level rewriting), then for `Swept` stage 2
+    // (signature classes) over the rewritten modules.
+    let optimized = match encoding {
+        Encoding::Reference => None,
+        Encoding::Rewritten | Encoding::Swept => {
+            Some((dfv_rtl::optimize(slm).0, dfv_rtl::optimize(rtl).0))
+        }
     };
+    let mut sweeper = match (&optimized, encoding) {
+        (Some((s, r)), Encoding::Swept) => Some(Sweeper::analyze(s, r, spec)?),
+        _ => None,
+    };
+    let nodes_before = (slm.nodes.len() + rtl.nodes.len()) as u64;
     let (slm, rtl) = match &optimized {
         Some((s, r)) => (s, r),
         None => (slm, rtl),
@@ -626,7 +624,11 @@ fn build_miter(
         slm_words,
         free_words,
         initial_reg_words,
-        sweep: sweeper.map(|s| s.stats()),
+        sweep: optimized.is_some().then(|| SweepStats {
+            nodes_before,
+            nodes_after: (slm.nodes.len() + rtl.nodes.len()) as u64,
+            ..sweeper.map_or_else(SweepStats::default, |s| s.stats())
+        }),
     })
 }
 
@@ -1159,12 +1161,19 @@ mod tests {
         assert!(report.outcome.is_equivalent());
     }
 
-    /// A deliberately hard miter: two structurally different 16×16→32
-    /// multipliers (`a*b` vs `b*a`). Proving commutativity of a bit-blasted
-    /// multiplier is notoriously expensive for CDCL, so tiny budgets
-    /// reliably exhaust — while the models are genuinely equivalent, so the
-    /// simulation fallback finds no counterexample.
-    fn hard_pair() -> (Module, Module, EquivSpec) {
+    /// Options selecting one encoding, everything else default.
+    fn encoded(encoding: Encoding) -> CheckOptions {
+        CheckOptions {
+            encoding,
+            ..CheckOptions::default()
+        }
+    }
+
+    /// Two structurally different 16×16→32 multipliers (`a*b` vs `b*a`).
+    /// Proving commutativity of a bit-blasted multiplier is notoriously
+    /// expensive for CDCL; the rewriter's commutative canonicalization
+    /// makes it free.
+    fn commuted_mul_pair() -> (Module, Module, EquivSpec) {
         let mut sb = ModuleBuilder::new("slm_mul");
         let a = sb.input("a", 16);
         let b = sb.input("b", 16);
@@ -1188,47 +1197,127 @@ mod tests {
         (slm, rtl, spec)
     }
 
-    #[test]
-    fn sweep_collapses_multiplier_commutativity() {
-        // Unswept, proving a*b == b*a for 16-bit operands is out of reach
-        // for CDCL (the budgeted tests below rely on that). The sweeping
-        // front-end's commutative GVN canonicalizes both multipliers to
-        // the same operand order, the shared input literals make the two
-        // cones literally identical through the gate caches, and the
-        // difference folds to constant false — Equivalent in milliseconds
-        // with (near) zero conflicts.
-        let (slm, rtl, spec) = hard_pair();
-        let report = check_equivalence_with(&slm, &rtl, &spec, &CheckOptions::swept()).unwrap();
-        assert!(report.outcome.is_equivalent(), "{:?}", report.outcome);
-        let sweep = report.sweep.expect("sweep ran");
-        assert!(sweep.nodes_after <= sweep.nodes_before);
-        assert!(
-            report.solver_stats.conflicts < 100,
-            "canonicalized miter must be trivial, got {} conflicts",
-            report.solver_stats.conflicts
-        );
+    /// Inputs `a`, `b`, `c` (16 bits), zero-extended to 32.
+    fn dist_words(b: &mut ModuleBuilder) -> [dfv_rtl::NodeId; 3] {
+        ["a", "b", "c"].map(|n| {
+            let x = b.input(n, 16);
+            b.zext(x, 32)
+        })
+    }
+
+    /// A deliberately hard miter: `a * (b + c)` (SLM) against
+    /// `a*b + a*c` (RTL) in a 32-bit datapath. No word-level rewrite
+    /// collapses distributivity, so CDCL faces three bit-blasted
+    /// multipliers and tiny budgets reliably exhaust — while the models
+    /// are genuinely equivalent, so the simulation fallback finds no
+    /// counterexample.
+    fn hard_pair() -> (Module, Module, EquivSpec) {
+        let mut sb = ModuleBuilder::new("slm_dist");
+        let [a, b, c] = dist_words(&mut sb);
+        let s = sb.add(b, c);
+        let y = sb.mul(a, s);
+        sb.output("y", y);
+        let slm = sb.finish().unwrap();
+
+        let mut rb = ModuleBuilder::new("rtl_dist");
+        let [a, b, c] = dist_words(&mut rb);
+        let ab = rb.mul(a, b);
+        let ac = rb.mul(a, c);
+        let y = rb.add(ab, ac);
+        rb.output("y", y);
+        let rtl = rb.finish().unwrap();
+
+        let spec = EquivSpec::new(1)
+            .bind("a", 0, Binding::Slm("a".into()))
+            .bind("b", 0, Binding::Slm("b".into()))
+            .bind("c", 0, Binding::Slm("c".into()))
+            .compare("y", "y", 0);
+        (slm, rtl, spec)
+    }
+
+    /// `t = x >> 1`, `y = t + (t >> 1)`, both exported: the rewriter fuses
+    /// `(x >> 1) >> 1` into `x >> 2`, which needs a new shift-amount constant
+    /// and a new shift while `t` stays live, so the module *grows*.
+    fn shift_chain(name: &str) -> Module {
+        let mut b = ModuleBuilder::new(name);
+        let x = b.input("x", 32);
+        let one = b.lit(32, 1);
+        let t = b.lshr(x, one);
+        let u = b.lshr(t, one);
+        let y = b.add(t, u);
+        b.output("t", t);
+        b.output("y", y);
+        b.finish().unwrap()
     }
 
     #[test]
-    fn sweep_preserves_verdicts_on_fig1() {
-        // Same verdict with and without the front-end, on both the
-        // equivalent and the inequivalent orderings; the counterexample
-        // must land on the same compare point and replay concretely
-        // (extract_and_replay already asserts the replay).
+    fn rewrite_that_grows_the_miter_is_reported_without_underflow() {
+        let (slm, rtl) = (shift_chain("slm_shr"), shift_chain("rtl_shr"));
+        let spec = EquivSpec::new(1)
+            .bind("x", 0, Binding::Slm("x".into()))
+            .compare("t", "t", 0)
+            .compare("y", "y", 0);
+        // Default encoding, unobserved and observed: both run the same
+        // stats path, which must not subtract below zero.
+        let report = check_equivalence(&slm, &rtl, &spec).unwrap();
+        assert!(report.outcome.is_equivalent(), "{:?}", report.outcome);
+        let sweep = report.sweep.expect("default encoding rewrites");
+        assert!(sweep.nodes_after > sweep.nodes_before, "{sweep:?}");
+
+        let rec = dfv_obs::MemoryRecorder::shared();
+        let report =
+            check_equivalence_observed(&slm, &rtl, &spec, &CheckOptions::default(), rec.clone())
+                .unwrap();
+        assert!(report.outcome.is_equivalent());
+        assert_eq!(rec.lock().unwrap().counter("sec.sweep.nodes_removed"), 0);
+    }
+
+    #[test]
+    fn rewrite_collapses_multiplier_commutativity() {
+        // On the raw encoding, proving a*b == b*a for 16-bit operands is
+        // out of reach for CDCL. The rewriter's commutative GVN
+        // canonicalizes both multipliers to the same operand order, the
+        // shared input literals make the two cones literally identical
+        // through the gate caches, and the difference folds to constant
+        // false — Equivalent in milliseconds with zero conflicts, in the
+        // production encoding and in the swept one alike.
+        let (slm, rtl, spec) = commuted_mul_pair();
+        for encoding in [Encoding::Rewritten, Encoding::Swept] {
+            let report = check_equivalence_with(&slm, &rtl, &spec, &encoded(encoding)).unwrap();
+            assert!(report.outcome.is_equivalent(), "{:?}", report.outcome);
+            let sweep = report.sweep.expect("front-end ran");
+            assert!(sweep.nodes_after <= sweep.nodes_before);
+            assert_eq!(report.solver_stats.conflicts, 0, "{encoding:?}");
+        }
+    }
+
+    #[test]
+    fn encodings_preserve_verdicts_on_fig1() {
+        // Same verdict under every encoding, on both the equivalent and
+        // the inequivalent orderings; the counterexample must land on the
+        // same compare point and replay concretely (extract_and_replay
+        // already asserts the replay).
         for order_bc in [false, true] {
             let slm = fig1_slm(order_bc);
             let rtl = fig1_rtl();
-            let off = check_equivalence(&slm, &rtl, &fig1_spec()).unwrap();
-            let on =
-                check_equivalence_with(&slm, &rtl, &fig1_spec(), &CheckOptions::swept()).unwrap();
-            assert_eq!(off.outcome.is_equivalent(), on.outcome.is_equivalent());
-            assert!(on.sweep.is_some());
-            assert!(off.sweep.is_none());
-            if let (EquivOutcome::NotEquivalent(a), EquivOutcome::NotEquivalent(b)) =
-                (&off.outcome, &on.outcome)
-            {
-                assert_eq!(a.mismatches[0].slm_output, b.mismatches[0].slm_output);
-                assert_eq!(a.mismatches[0].rtl_cycle, b.mismatches[0].rtl_cycle);
+            let reference =
+                check_equivalence_with(&slm, &rtl, &fig1_spec(), &encoded(Encoding::Reference))
+                    .unwrap();
+            assert!(reference.sweep.is_none());
+            for encoding in [Encoding::Rewritten, Encoding::Swept] {
+                let on =
+                    check_equivalence_with(&slm, &rtl, &fig1_spec(), &encoded(encoding)).unwrap();
+                assert_eq!(
+                    reference.outcome.is_equivalent(),
+                    on.outcome.is_equivalent()
+                );
+                assert!(on.sweep.is_some());
+                if let (EquivOutcome::NotEquivalent(a), EquivOutcome::NotEquivalent(b)) =
+                    (&reference.outcome, &on.outcome)
+                {
+                    assert_eq!(a.mismatches[0].slm_output, b.mismatches[0].slm_output);
+                    assert_eq!(a.mismatches[0].rtl_cycle, b.mismatches[0].rtl_cycle);
+                }
             }
         }
     }
@@ -1255,14 +1344,14 @@ mod tests {
             .bind("a", 0, Binding::Slm("a".into()))
             .bind("mode", 0, Binding::Free)
             .compare("y", "y", 0);
-        let report = check_equivalence_with(&slm, &rtl, &spec, &CheckOptions::swept()).unwrap();
+        let report = check_equivalence_with(&slm, &rtl, &spec, &encoded(Encoding::Swept)).unwrap();
         assert!(!report.outcome.is_equivalent());
 
         let spec = EquivSpec::new(1)
             .bind("a", 0, Binding::Slm("a".into()))
             .bind("mode", 0, Binding::Const(Bv::zero(1)))
             .compare("y", "y", 0);
-        let report = check_equivalence_with(&slm, &rtl, &spec, &CheckOptions::swept()).unwrap();
+        let report = check_equivalence_with(&slm, &rtl, &spec, &encoded(Encoding::Swept)).unwrap();
         assert!(report.outcome.is_equivalent());
     }
 
@@ -1399,23 +1488,22 @@ mod tests {
 
     #[test]
     fn per_output_budget_localizes_exhaustion() {
-        // One easy output (pass-through) and one hard output (multiplier
-        // commutativity): under a tiny budget the easy one still proves,
+        // One easy output (pass-through) and one hard output
+        // (distributivity): under a tiny budget the easy one still proves,
         // only the hard one is inconclusive.
         let mut sb = ModuleBuilder::new("slm");
-        let a = sb.input("a", 16);
-        let b = sb.input("b", 16);
-        let (aw, bw) = (sb.zext(a, 32), sb.zext(b, 32));
-        let p = sb.mul(aw, bw);
+        let [a, b, c] = dist_words(&mut sb);
+        let s = sb.add(b, c);
+        let p = sb.mul(a, s);
         sb.output("p", p);
         sb.output("pass", a);
         let slm = sb.finish().unwrap();
 
         let mut rb = ModuleBuilder::new("rtl");
-        let a = rb.input("a", 16);
-        let b = rb.input("b", 16);
-        let (aw, bw) = (rb.zext(a, 32), rb.zext(b, 32));
-        let p = rb.mul(bw, aw);
+        let [a, b, c] = dist_words(&mut rb);
+        let ab = rb.mul(a, b);
+        let ac = rb.mul(a, c);
+        let p = rb.add(ab, ac);
         rb.output("p", p);
         rb.output("pass", a);
         let rtl = rb.finish().unwrap();
@@ -1423,6 +1511,7 @@ mod tests {
         let spec = EquivSpec::new(1)
             .bind("a", 0, Binding::Slm("a".into()))
             .bind("b", 0, Binding::Slm("b".into()))
+            .bind("c", 0, Binding::Slm("c".into()))
             .compare("pass", "pass", 0)
             .compare("p", "p", 0);
         let opts = CheckOptions::with_budget(Budget::unlimited().with_conflicts(50));

@@ -41,7 +41,7 @@ pub use equiv::{
     EquivOutcome, EquivReport, FalsificationSummary, Mismatch, OutputVerdict, PerOutputReport,
 };
 pub use spec::{Binding, ComparePoint, EquivSpec, InitState, SecError};
-pub use sweep::{SweepOptions, SweepStats};
+pub use sweep::{Encoding, SweepStats};
 pub use unroll::{
     eval_comb_symbolic, eval_comb_symbolic_hooked, SymbolicCycle, SymbolicSim, MEM_BLAST_LIMIT,
 };

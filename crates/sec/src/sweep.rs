@@ -1,16 +1,18 @@
 //! SAT sweeping: simulation-guided fraiging of the miter during encoding.
 //!
-//! The optimizing front-end of the equivalence checker (enabled via
-//! [`crate::CheckOptions::sweep`]) runs in three stages:
+//! The optimizing front-end of the equivalence checker runs in three
+//! stages; [`Encoding`] (carried in [`crate::CheckOptions::encoding`])
+//! picks how many of them a check uses:
 //!
 //! 1. **Word-level rewriting** — both modules are canonicalized by
 //!    `dfv_rtl::optimize` (structural hashing / GVN, constant folding,
 //!    identity rules) before any literal is allocated, so structurally
 //!    different but syntactically convertible logic (`a*b` vs `b*a`)
 //!    becomes literally identical and collapses through the bit-blaster's
-//!    gate caches.
+//!    gate caches. This stage alone is the production encoding
+//!    ([`Encoding::Rewritten`], the default).
 //! 2. **Simulation-guided candidate detection** (this module) — every
-//!    node bit of the miter is fingerprinted under `rounds × 64` random
+//!    node bit of the miter is fingerprinted under `ROUNDS × 64` random
 //!    stimulus patterns using the 64-lane [`LaneSim`]: a node's
 //!    lane-transposed limbs *are* 64-pattern signatures, so one batched
 //!    run refines candidate equivalence classes 64 patterns at a time
@@ -48,52 +50,43 @@ use dfv_sat::{Budget, Lit, SolveResult};
 use crate::bitblast::BitBlaster;
 use crate::spec::{Binding, EquivSpec, InitState, SecError};
 
-/// Configuration of the sweeping front-end, carried inside
-/// [`crate::CheckOptions`]. Disabled by default: sweeping changes no
-/// verdict, but it does change the CNF, so opting in is explicit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SweepOptions {
-    /// Master switch. When false the checker encodes the raw miter.
-    pub enabled: bool,
-    /// Signature-refinement rounds; each round distinguishes candidates
-    /// under 64 fresh random patterns.
-    pub rounds: u32,
-    /// Conflict budget for each candidate proof. Conflict-only (no
-    /// deadline), so sweep decisions — and every derived counter — are
-    /// bit-for-bit reproducible across runs and machines.
-    pub proof_conflicts: u64,
-    /// Cap on the number of candidate proofs attempted per check.
-    pub max_proofs: usize,
-    /// Seed for the signature stimulus.
-    pub seed: u64,
+/// How the equivalence checker encodes a miter into CNF. Every encoding
+/// reaches the same verdict (the `prop_sweep` suite asserts it three
+/// ways); they differ only in the CNF the solver sees and what it costs
+/// to build.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum Encoding {
+    /// The raw bit-blasted miter of the caller's modules, with no
+    /// rewriting. Kept as the oracle the other encodings are checked
+    /// against, as `Simulator::new_reference` is for the simulator.
+    Reference,
+    /// Both modules rewritten by `dfv_rtl::optimize` (stage 1: GVN with
+    /// commutative canonicalization, constant folding, identities, DCE)
+    /// before any literal is allocated. The production encoding.
+    #[default]
+    Rewritten,
+    /// Stage 1 plus signature classes and budgeted merge proofs during
+    /// encoding (stages 2–3).
+    Swept,
 }
 
-impl Default for SweepOptions {
-    fn default() -> Self {
-        SweepOptions {
-            enabled: false,
-            rounds: 4,
-            proof_conflicts: 200,
-            max_proofs: 4096,
-            seed: 0x5EE9,
-        }
-    }
-}
-
-impl SweepOptions {
-    /// The default configuration with sweeping switched on.
-    pub fn on() -> Self {
-        SweepOptions {
-            enabled: true,
-            ..SweepOptions::default()
-        }
-    }
-}
+/// Signature-refinement rounds; each round distinguishes candidates
+/// under 64 fresh random patterns.
+const ROUNDS: u32 = 4;
+/// Conflict budget for each candidate proof. Conflict-only (no deadline),
+/// so sweep decisions — and every derived counter — are bit-for-bit
+/// reproducible across runs and machines.
+const PROOF_CONFLICTS: u64 = 200;
+/// Cap on the number of candidate proofs attempted per check.
+const MAX_PROOFS: usize = 4096;
+/// Seed for the signature stimulus.
+const SEED: u64 = 0x5EE9;
 
 /// What the sweep did to one miter, reported in
 /// [`crate::EquivReport::sweep`] and mirrored into `sec.sweep.*` obs
 /// counters. All counters are deterministic for a fixed input and
-/// [`SweepOptions`].
+/// [`Encoding`]; under [`Encoding::Rewritten`] only the node counts are
+/// non-zero.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SweepStats {
     /// Total nodes in both modules before word-level rewriting.
@@ -146,7 +139,6 @@ enum ClassKind {
 /// The sweep engine: signature classes from the analysis phase plus the
 /// mutable proof state threaded through the encoding hooks.
 pub(crate) struct Sweeper {
-    opts: SweepOptions,
     /// `class_of[site][node][bit]` — `u32::MAX` marks a singleton class
     /// (provably distinguishable; never considered).
     class_of: Vec<Vec<Vec<u32>>>,
@@ -157,7 +149,7 @@ pub(crate) struct Sweeper {
 }
 
 impl Sweeper {
-    /// Runs the signature phase: `opts.rounds` batched 64-lane runs of
+    /// Runs the signature phase: [`ROUNDS`] batched 64-lane runs of
     /// both (already optimized) modules under binding-consistent random
     /// stimulus, then groups node bits by signature.
     ///
@@ -170,7 +162,6 @@ impl Sweeper {
         slm: &Module,
         rtl: &Module,
         spec: &EquivSpec,
-        opts: &SweepOptions,
     ) -> Result<Sweeper, SecError> {
         let k = spec.rtl_cycles;
         let mut sigs: Vec<Vec<Vec<u64>>> = Vec::with_capacity(rtl_site(k));
@@ -186,9 +177,9 @@ impl Sweeper {
             let idx = rtl.input_index(port).expect("validated");
             binding_at.insert((idx, *cycle), b);
         }
-        let mut rng = SplitMix64::new(opts.seed);
+        let mut rng = SplitMix64::new(SEED);
 
-        for _ in 0..opts.rounds {
+        for _ in 0..ROUNDS {
             // One random transaction per lane: SLM inputs drive both the
             // SLM run and every `Binding::Slm`-bound RTL port, exactly
             // mirroring the miter's sharing of input literals.
@@ -246,8 +237,8 @@ impl Sweeper {
         // Class assignment, deterministic in (site, node, bit) order. The
         // constant classes are seeded first so all-0 / all-1 signatures
         // merge toward the bit-blaster's constant literals.
-        let sig_false = (0..opts.rounds).fold(FNV_OFFSET, |h, _| fnv_fold(h, 0));
-        let sig_true = (0..opts.rounds).fold(FNV_OFFSET, |h, _| fnv_fold(h, u64::MAX));
+        let sig_false = (0..ROUNDS).fold(FNV_OFFSET, |h, _| fnv_fold(h, 0));
+        let sig_true = (0..ROUNDS).fold(FNV_OFFSET, |h, _| fnv_fold(h, u64::MAX));
         let mut counts: HashMap<u64, u32> = HashMap::new();
         for site in &sigs {
             for node in site {
@@ -290,7 +281,6 @@ impl Sweeper {
         let classes = populated.iter().filter(|&&p| p).count() as u64;
         let reprs = vec![None; kinds.len()];
         Ok(Sweeper {
-            opts: *opts,
             class_of,
             kinds,
             reprs,
@@ -312,7 +302,7 @@ impl Sweeper {
         node: usize,
         word: &mut [Lit],
     ) {
-        let budget = Budget::unlimited().with_conflicts(self.opts.proof_conflicts);
+        let budget = Budget::unlimited().with_conflicts(PROOF_CONFLICTS);
         for (bit, lit) in word.iter_mut().enumerate() {
             let c = self.class_of[site][node][bit];
             if c == u32::MAX {
@@ -333,7 +323,7 @@ impl Sweeper {
                 continue;
             }
             self.stats.candidates += 1;
-            if self.proofs_attempted >= self.opts.max_proofs {
+            if self.proofs_attempted >= MAX_PROOFS {
                 self.stats.refuted += 1;
                 continue;
             }
@@ -360,11 +350,6 @@ impl Sweeper {
 
     pub(crate) fn stats(&self) -> SweepStats {
         self.stats
-    }
-
-    pub(crate) fn add_opt_stats(&mut self, before: usize, after: usize) {
-        self.stats.nodes_before += before as u64;
-        self.stats.nodes_after += after as u64;
     }
 }
 
@@ -434,7 +419,7 @@ mod tests {
             .bind("a", 0, Binding::Slm("a".into()))
             .compare("y0", "y", 0);
 
-        let sw = Sweeper::analyze(&slm, &rtl, &spec, &SweepOptions::on()).unwrap();
+        let sw = Sweeper::analyze(&slm, &rtl, &spec).unwrap();
         let and0 = y0;
         let and1 = y1;
         let xor = y2;
@@ -475,7 +460,7 @@ mod tests {
             .bind("a", 0, Binding::Slm("a".into()))
             .compare("z", "y", 0);
 
-        let sw = Sweeper::analyze(&slm, &rtl, &spec, &SweepOptions::on()).unwrap();
+        let sw = Sweeper::analyze(&slm, &rtl, &spec).unwrap();
         for bit in 0..8 {
             assert_eq!(sw.class_of[SLM_SITE][y_and.index()][bit], 0, "stuck-at-0");
             assert_eq!(sw.class_of[SLM_SITE][y_or.index()][bit], 1, "stuck-at-1");
@@ -503,8 +488,8 @@ mod tests {
         let spec = EquivSpec::new(1)
             .bind("a", 0, Binding::Slm("a".into()))
             .compare("y", "y", 0);
-        let s1 = Sweeper::analyze(&slm, &rtl, &spec, &SweepOptions::on()).unwrap();
-        let s2 = Sweeper::analyze(&slm, &rtl, &spec, &SweepOptions::on()).unwrap();
+        let s1 = Sweeper::analyze(&slm, &rtl, &spec).unwrap();
+        let s2 = Sweeper::analyze(&slm, &rtl, &spec).unwrap();
         assert_eq!(s1.class_of, s2.class_of);
         assert_eq!(s1.stats(), s2.stats());
     }

@@ -1,10 +1,11 @@
-//! Seeded property suite: the SAT-sweeping front-end must be
+//! Seeded property suite: every miter [`Encoding`] must be
 //! *verdict-neutral*. For random combinational module pairs — exact
-//! copies, commutatively-shuffled variants, and near-miss mutants — a
-//! sweep-on check must reach the same [`EquivOutcome`] as the sweep-off
-//! check, and when both sides falsify, their counterexamples must land on
-//! the same mismatch locations (the checker has already replayed each one
-//! concretely before returning it, so location parity is mismatch parity).
+//! copies, commutatively-shuffled variants, and near-miss mutants — the
+//! production `Rewritten` encoding and the `Swept` one must each reach the
+//! same [`EquivOutcome`] as the raw `Reference` miter (the oracle), and
+//! when they falsify, their counterexamples must land on the same mismatch
+//! locations (the checker has already replayed each one concretely before
+//! returning it, so location parity is mismatch parity).
 //!
 //! Uses the repo's own `SplitMix64` instead of `proptest` so the suite
 //! runs in offline CI unconditionally; the seeds below are fixed, making
@@ -12,9 +13,10 @@
 
 use dfv_bits::SplitMix64;
 use dfv_rtl::{Module, ModuleBuilder, NodeId};
-use dfv_sec::{
-    check_equivalence_with, Binding, CheckOptions, EquivOutcome, EquivSpec, SweepOptions,
-};
+use dfv_sec::{check_equivalence_with, Binding, CheckOptions, Encoding, EquivOutcome, EquivSpec};
+
+/// The encodings checked against the `Reference` oracle.
+const ENCODINGS: [Encoding; 2] = [Encoding::Rewritten, Encoding::Swept];
 
 /// One random combinational DAG, described as data so the same program
 /// can be rebuilt verbatim, commutatively shuffled, or mutated.
@@ -176,27 +178,42 @@ fn mismatch_locations(o: &EquivOutcome) -> Option<Vec<(String, String, u32)>> {
     }
 }
 
-fn check_pair(slm: &Module, rtl: &Module, spec: &EquivSpec) -> (EquivOutcome, EquivOutcome) {
-    let off = check_equivalence_with(slm, rtl, spec, &CheckOptions::default())
-        .expect("sweep-off check failed to run");
-    let on = check_equivalence_with(slm, rtl, spec, &CheckOptions::swept())
-        .expect("sweep-on check failed to run");
-    (off.outcome, on.outcome)
+fn check(slm: &Module, rtl: &Module, spec: &EquivSpec, opts: CheckOptions) -> EquivOutcome {
+    check_equivalence_with(slm, rtl, spec, &opts)
+        .unwrap_or_else(|e| panic!("{:?} check failed to run: {e}", opts.encoding))
+        .outcome
+}
+
+/// Checks the pair under the `Reference` oracle, then asserts every other
+/// encoding agrees with it. Returns the oracle's outcome.
+fn check_all(slm: &Module, rtl: &Module, spec: &EquivSpec, what: &str) -> EquivOutcome {
+    let encoded = |encoding| CheckOptions {
+        encoding,
+        ..CheckOptions::default()
+    };
+    let reference = check(slm, rtl, spec, encoded(Encoding::Reference));
+    for e in ENCODINGS {
+        let other = check(slm, rtl, spec, encoded(e));
+        assert_parity(&reference, &other, &format!("{what}, {e:?}"));
+    }
+    reference
 }
 
 /// Asserts strict verdict parity under unlimited budgets: same outcome
 /// variant, and on falsification the same mismatch locations.
-fn assert_parity(off: &EquivOutcome, on: &EquivOutcome, what: &str) {
-    match (off, on) {
+fn assert_parity(reference: &EquivOutcome, other: &EquivOutcome, what: &str) {
+    match (reference, other) {
         (EquivOutcome::Equivalent, EquivOutcome::Equivalent) => {}
         (EquivOutcome::NotEquivalent(_), EquivOutcome::NotEquivalent(_)) => {
             assert_eq!(
-                mismatch_locations(off),
-                mismatch_locations(on),
+                mismatch_locations(reference),
+                mismatch_locations(other),
                 "{what}: counterexamples disagree on mismatch locations"
             );
         }
-        _ => panic!("{what}: sweep changed the verdict: off={off:?} on={on:?}"),
+        _ => panic!(
+            "{what}: the encoding changed the verdict: reference={reference:?} other={other:?}"
+        ),
     }
 }
 
@@ -209,12 +226,11 @@ fn sweep_is_verdict_neutral_on_equivalent_shuffles() {
         let slm = build(&p, "slm", &[]);
         let rtl = build(&p, "rtl", &swaps);
         let spec = spec_for(&p);
-        let (off, on) = check_pair(&slm, &rtl, &spec);
+        let reference = check_all(&slm, &rtl, &spec, &format!("shuffle case {case}"));
         assert!(
-            matches!(off, EquivOutcome::Equivalent),
-            "case {case}: shuffled copy must be equivalent sweep-off"
+            matches!(reference, EquivOutcome::Equivalent),
+            "case {case}: shuffled copy must be equivalent on the reference miter"
         );
-        assert_parity(&off, &on, &format!("shuffle case {case}"));
     }
 }
 
@@ -228,11 +244,10 @@ fn sweep_is_verdict_neutral_on_near_miss_mutants() {
         let slm = build(&p, "slm", &[]);
         let rtl = build(&m, "rtl", &[]);
         let spec = spec_for(&p);
-        let (off, on) = check_pair(&slm, &rtl, &spec);
-        if matches!(off, EquivOutcome::NotEquivalent(_)) {
+        let reference = check_all(&slm, &rtl, &spec, &format!("mutant case {case}"));
+        if matches!(reference, EquivOutcome::NotEquivalent(_)) {
             falsified += 1;
         }
-        assert_parity(&off, &on, &format!("mutant case {case}"));
     }
     // The mutator must actually bite on a healthy fraction of cases —
     // otherwise the suite is silently testing only the Equivalent path.
@@ -240,11 +255,12 @@ fn sweep_is_verdict_neutral_on_near_miss_mutants() {
 }
 
 #[test]
-fn budgeted_sweep_never_contradicts() {
-    // Under a starved budget either side may degrade to Inconclusive
-    // (sweeping can even *rescue* a proof the raw miter can't afford —
-    // that asymmetry is allowed). The one forbidden outcome is a
-    // contradiction: Equivalent on one side, NotEquivalent on the other.
+fn budgeted_encodings_never_contradict() {
+    // Under a starved budget any encoding may degrade to Inconclusive
+    // (rewriting and sweeping can even *rescue* a proof the raw miter
+    // can't afford — that asymmetry is allowed). The one forbidden
+    // outcome is a contradiction between any two encodings: Equivalent
+    // on one, NotEquivalent on another.
     let mut rng = SplitMix64::new(0x5EED_CAFE_0003);
     for case in 0..16u64 {
         let p = random_program(&mut rng);
@@ -252,20 +268,21 @@ fn budgeted_sweep_never_contradicts() {
         let slm = build(&p, "slm", &[]);
         let rtl = build(&m, "rtl", &[]);
         let spec = spec_for(&p);
-        let mut opts = CheckOptions::with_budget(dfv_sec::Budget::unlimited().with_conflicts(3));
-        opts.fallback_transactions = 0;
-        let off = check_equivalence_with(&slm, &rtl, &spec, &opts).unwrap();
-        opts.sweep = SweepOptions::on();
-        let on = check_equivalence_with(&slm, &rtl, &spec, &opts).unwrap();
-        let contradiction = matches!(
-            (&off.outcome, &on.outcome),
-            (EquivOutcome::Equivalent, EquivOutcome::NotEquivalent(_))
-                | (EquivOutcome::NotEquivalent(_), EquivOutcome::Equivalent)
-        );
+        let outcomes =
+            [Encoding::Reference, Encoding::Rewritten, Encoding::Swept].map(|encoding| {
+                let mut opts =
+                    CheckOptions::with_budget(dfv_sec::Budget::unlimited().with_conflicts(3));
+                opts.fallback_transactions = 0;
+                opts.encoding = encoding;
+                check(&slm, &rtl, &spec, opts)
+            });
+        let proved = outcomes.iter().any(EquivOutcome::is_equivalent);
+        let falsified = outcomes
+            .iter()
+            .any(|o| matches!(o, EquivOutcome::NotEquivalent(_)));
         assert!(
-            !contradiction,
-            "case {case}: contradictory verdicts off={:?} on={:?}",
-            off.outcome, on.outcome
+            !(proved && falsified),
+            "case {case}: contradictory verdicts across encodings: {outcomes:?}"
         );
     }
 }

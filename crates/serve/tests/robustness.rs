@@ -9,6 +9,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dfv_core::{BlockPair, ChaosIo, ChaosPlan, ChaosWire, IoHandle, WirePlan};
+use dfv_designs::dist;
 use dfv_obs::{kinds, Json};
 use dfv_rtl::ModuleBuilder;
 use dfv_sec::{Binding, EquivSpec};
@@ -48,28 +49,17 @@ fn add_block(name: &str, delta: u64, bug: bool) -> BlockPair {
     }
 }
 
-/// A genuinely-equivalent but SAT-expensive block: `width`×`width`
-/// multiplier commutativity. Slow enough (hundreds of ms in debug) that
-/// a test can reliably act *while* an executor is inside it.
+/// A genuinely-equivalent but SAT-expensive block: distributivity
+/// ([`dfv_designs::dist`]) on `width`-bit operands. No word-level rewrite
+/// collapses it, so it is slow enough (about a second in debug at width 4)
+/// that a test can reliably act *while* an executor is inside it.
 fn slow_block(name: &str, width: u32) -> BlockPair {
-    let out = 2 * width;
-    let mut rb = ModuleBuilder::new("rtl_mul");
-    let a = rb.input("a", width);
-    let b = rb.input("b", width);
-    let (aw, bw) = (rb.zext(a, out), rb.zext(b, out));
-    let y = rb.mul(bw, aw);
-    rb.output("y", y);
     BlockPair {
         name: name.into(),
-        slm_source: format!(
-            "uint<{out}> mul(uint<{width}> a, uint<{width}> b) {{ return (uint<{out}>)a * (uint<{out}>)b; }}"
-        ),
-        slm_entry: "mul".into(),
-        rtl: rb.finish().unwrap(),
-        spec: EquivSpec::new(1)
-            .bind("a", 0, Binding::Slm("a".into()))
-            .bind("b", 0, Binding::Slm("b".into()))
-            .compare("return", "y", 0),
+        slm_source: dist::slm(width),
+        slm_entry: dist::ENTRY.into(),
+        rtl: dist::rtl(width),
+        spec: dist::equiv_spec(),
     }
 }
 
@@ -303,7 +293,7 @@ fn abandoned_job_still_completes_and_the_lost_client_is_counted() {
     // client is counted lost by whichever thread notices first. The
     // block is deliberately SAT-slow so the drop lands mid-proof, not
     // after the report already reached the (still-open) pipe buffer.
-    let spec = campaign(vec![slow_block("slow", 6)], None);
+    let spec = campaign(vec![slow_block("slow", 4)], None);
     let ((cr, cw), (sr, sw)) = duplex();
     let conn2 = server.attach(sr, sw);
     let mut doomed = Client::new(cr, cw);

@@ -2,8 +2,9 @@
 //! crash-safe persisted cache.
 //!
 //! Four acts:
-//! 1. A campaign mixing an easy block with a deliberately hard one (16x16
-//!    multiplier commutativity — CDCL-intractable under a tiny budget) runs
+//! 1. A campaign mixing an easy block with a deliberately hard one (16-bit
+//!    distributivity, `a*(b+c)` against `a*b + a*c` — untouched by the
+//!    word-level rewriter and CDCL-intractable under a tiny budget) runs
 //!    under a 100-conflict / 1 ms escalating policy: the easy block is
 //!    proven, the hard one degrades to bounded random falsification and
 //!    comes back `INCONC` in bounded time.
@@ -21,6 +22,7 @@
 use std::time::Duration;
 
 use dfv::core::{BlockPair, CacheLoad, Campaign, CampaignOptions, RetryPolicy, VerificationPlan};
+use dfv::designs::dist;
 use dfv::rtl::ModuleBuilder;
 use dfv::sec::{Binding, EquivSpec};
 
@@ -41,24 +43,16 @@ fn easy_block() -> BlockPair {
     }
 }
 
-/// Commutativity of a 16x16 multiplier: genuinely equivalent, but proving
-/// `a*b == b*a` at the bit level is far beyond a 100-conflict budget.
+/// Distributivity over a 32-bit datapath: genuinely equivalent, but
+/// proving `a*(b+c) == a*b + a*c` at the bit level is far beyond a
+/// 100-conflict budget.
 fn hard_block() -> BlockPair {
-    let mut rb = ModuleBuilder::new("rtl_mul_comm");
-    let a = rb.input("a", 16);
-    let b = rb.input("b", 16);
-    let (aw, bw) = (rb.zext(a, 32), rb.zext(b, 32));
-    let y = rb.mul(bw, aw); // b * a, against the SLM's a * b
-    rb.output("y", y);
     BlockPair {
-        name: "mul_comm".into(),
-        slm_source: "uint32 mul(uint16 a, uint16 b) { return (uint32)a * (uint32)b; }".into(),
-        slm_entry: "mul".into(),
-        rtl: rb.finish().expect("mul rtl builds"),
-        spec: EquivSpec::new(1)
-            .bind("a", 0, Binding::Slm("a".into()))
-            .bind("b", 0, Binding::Slm("b".into()))
-            .compare("return", "y", 0),
+        name: "mul_dist".into(),
+        slm_source: dist::slm(16),
+        slm_entry: dist::ENTRY.into(),
+        rtl: dist::rtl(16),
+        spec: dist::equiv_spec(),
     }
 }
 

@@ -143,19 +143,26 @@ run cargo run --release -q -p dfv-bench --bin experiments -- e16 > /dev/null
 # crash-tolerance properties: kill-at-random-journal-point + resume.
 run cargo test -q --release -p dfv-core --test prop_parallel -- --test-threads 8
 run cargo test -q --release -p dfv-core --test prop_crash
-# Offline smoke test: the SAT-sweeping miter front-end. Every workload is
-# checked sweep-off and sweep-on with verdict and counterexample-location
-# parity asserted inside the harness (the run panics on any divergence),
-# and the canonical JSON (SAT conflicts, CNF sizes, sweep counters — no
-# wall-clock) must be byte-identical across two separate processes. The
-# seeded verdict-parity property suite then runs in release, and E17
-# gates the "sweeping never changes a verdict" claim at full width.
+# Offline smoke test: the miter encodings. Every workload is checked under
+# the Reference, Rewritten and Swept encodings with verdict and
+# counterexample-location parity asserted inside the harness (the run
+# panics on any divergence), and the canonical JSON (SAT conflicts, CNF
+# sizes, sweep counters — no wall-clock) must be byte-identical across two
+# separate processes. The
+# seeded three-way verdict-parity property suite then runs in release, and
+# E17 gates the "an encoding never changes a verdict" claim at full width.
 run cargo run --release -q -p dfv-bench --bin bench -- sec --smoke \
     --out "$obs_dir/bench_sec1_full.json" --canonical "$obs_dir/bench_sec1.json" > /dev/null
 run cargo run --release -q -p dfv-bench --bin bench -- sec --smoke \
     --out "$obs_dir/bench_sec2_full.json" --canonical "$obs_dir/bench_sec2.json" > /dev/null
 run cmp "$obs_dir/bench_sec1.json" "$obs_dir/bench_sec2.json"
 run cargo test -q --release -p dfv-sec --test prop_sweep
+# Translation validation of the word-level rewriter every check encodes
+# through: optimize(m) against m, exhaustively, on the reference simulator.
+run cargo test -q --release -p dfv-rtl --test opt_tv
+# Campaign-level counter gate: commuted mul/madd blocks must pass with
+# zero SAT conflicts in the canonical campaign report.
+run cargo test -q --release -p dfv-core --test rewrite_gate
 run cargo run --release -q -p dfv-bench --bin experiments -- e17 > /dev/null
 run cargo clippy --all-targets --workspace -- -D warnings
 run cargo fmt --all --check
