@@ -106,7 +106,7 @@ pub enum CacheLoad {
 }
 
 /// Incremental FNV-1a-64 hasher — shared by the cache and journal record
-/// checksums and [`crate::BlockPair::content_hash`]. No dependencies,
+/// checksums and the content hash walk (`content.rs`). No dependencies,
 /// stable across platforms and runs (unlike `DefaultHasher`).
 pub(crate) struct Fnv(u64);
 

@@ -103,6 +103,7 @@ use dfv_slmir::{lint, LintFinding, Severity};
 
 mod cache;
 pub mod chaos;
+mod content;
 mod faultcamp;
 mod journal;
 pub mod lockfile;
@@ -138,15 +139,13 @@ pub struct BlockPair {
 
 impl BlockPair {
     /// A stable content hash of everything that affects this block's
-    /// verdict. FNV-1a over the SLM source, the RTL netlist text, and the
-    /// spec's debug rendering.
+    /// verdict: FNV-1a over a structural walk of the SLM source and entry,
+    /// every field of the RTL module, and the spec (constraint modules
+    /// included). The block name is not hashed. The value is the same in
+    /// every process and on every platform; the encoding is documented in
+    /// `content.rs`.
     pub fn content_hash(&self) -> u64 {
-        let mut h = cache::Fnv::new();
-        h.write(self.slm_source.as_bytes());
-        h.write(self.slm_entry.as_bytes());
-        h.write(dfv_rtl::write_module(&self.rtl).as_bytes());
-        h.write(format!("{:?}", self.spec).as_bytes());
-        h.finish()
+        content::block_hash(self)
     }
 }
 

@@ -56,6 +56,13 @@ impl MemId {
     }
 }
 
+impl InstId {
+    /// The raw index of this instance.
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
 /// A named, sized port.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Port {
@@ -125,7 +132,47 @@ pub enum BinOp {
     SLe,
 }
 
+impl UnOp {
+    /// The operator's netlist-format mnemonic. Stable across releases: the
+    /// text netlist and the campaign content hash both depend on it.
+    pub fn mnemonic(self) -> &'static str {
+        match self {
+            UnOp::Not => "not",
+            UnOp::Neg => "neg",
+            UnOp::RedAnd => "redand",
+            UnOp::RedOr => "redor",
+            UnOp::RedXor => "redxor",
+        }
+    }
+}
+
 impl BinOp {
+    /// The operator's netlist-format mnemonic. Stable across releases: the
+    /// text netlist and the campaign content hash both depend on it.
+    pub fn mnemonic(self) -> &'static str {
+        match self {
+            BinOp::Add => "add",
+            BinOp::Sub => "sub",
+            BinOp::Mul => "mul",
+            BinOp::UDiv => "udiv",
+            BinOp::URem => "urem",
+            BinOp::SDiv => "sdiv",
+            BinOp::SRem => "srem",
+            BinOp::And => "and",
+            BinOp::Or => "or",
+            BinOp::Xor => "xor",
+            BinOp::Shl => "shl",
+            BinOp::LShr => "lshr",
+            BinOp::AShr => "ashr",
+            BinOp::Eq => "eq",
+            BinOp::Ne => "ne",
+            BinOp::ULt => "ult",
+            BinOp::ULe => "ule",
+            BinOp::SLt => "slt",
+            BinOp::SLe => "sle",
+        }
+    }
+
     /// Whether this operator produces a 1-bit result regardless of operand
     /// width.
     pub fn is_comparison(self) -> bool {

@@ -30,30 +30,6 @@ use crate::ir::{
 };
 use crate::RtlError;
 
-fn binop_name(op: BinOp) -> &'static str {
-    match op {
-        BinOp::Add => "add",
-        BinOp::Sub => "sub",
-        BinOp::Mul => "mul",
-        BinOp::UDiv => "udiv",
-        BinOp::URem => "urem",
-        BinOp::SDiv => "sdiv",
-        BinOp::SRem => "srem",
-        BinOp::And => "and",
-        BinOp::Or => "or",
-        BinOp::Xor => "xor",
-        BinOp::Shl => "shl",
-        BinOp::LShr => "lshr",
-        BinOp::AShr => "ashr",
-        BinOp::Eq => "eq",
-        BinOp::Ne => "ne",
-        BinOp::ULt => "ult",
-        BinOp::ULe => "ule",
-        BinOp::SLt => "slt",
-        BinOp::SLe => "sle",
-    }
-}
-
 fn binop_from(name: &str) -> Option<BinOp> {
     Some(match name {
         "add" => BinOp::Add,
@@ -77,16 +53,6 @@ fn binop_from(name: &str) -> Option<BinOp> {
         "sle" => BinOp::SLe,
         _ => return None,
     })
-}
-
-fn unop_name(op: UnOp) -> &'static str {
-    match op {
-        UnOp::Not => "not",
-        UnOp::Neg => "neg",
-        UnOp::RedAnd => "redand",
-        UnOp::RedOr => "redor",
-        UnOp::RedXor => "redxor",
-    }
 }
 
 fn unop_from(name: &str) -> Option<UnOp> {
@@ -138,9 +104,9 @@ pub fn write_module(m: &Module) -> String {
             Node::Const(v) => format!("const {v}"),
             Node::RegQ(r) => format!("regq {}", r.index()),
             Node::MemReadData(mm, p) => format!("memread {} {p}", mm.index()),
-            Node::InstOut(inst, o) => format!("instout {} {o}", inst.0),
-            Node::Un(op, a) => format!("{} n{}", unop_name(*op), a.0),
-            Node::Bin(op, a, b) => format!("{} n{} n{}", binop_name(*op), a.0, b.0),
+            Node::InstOut(inst, o) => format!("instout {} {o}", inst.index()),
+            Node::Un(op, a) => format!("{} n{}", op.mnemonic(), a.0),
+            Node::Bin(op, a, b) => format!("{} n{} n{}", op.mnemonic(), a.0, b.0),
             Node::Mux { sel, t, f } => format!("mux n{} n{} n{}", sel.0, t.0, f.0),
             Node::Slice { src, hi, lo } => format!("slice n{} {hi} {lo}", src.0),
             Node::Concat(a, b) => format!("concat n{} n{}", a.0, b.0),

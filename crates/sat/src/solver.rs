@@ -68,6 +68,10 @@ struct Clause {
 
 const NO_REASON: u32 = u32::MAX;
 
+/// The longest clause [`Solver::add_clause`] normalizes without a heap
+/// allocation.
+const INLINE_CLAUSE: usize = 8;
+
 /// A CDCL SAT solver.
 ///
 /// # Example
@@ -175,7 +179,9 @@ impl Solver {
     /// unsatisfiable (at level 0).
     ///
     /// Duplicate literals are removed; a tautological clause (containing
-    /// both `x` and `!x`) is silently ignored.
+    /// both `x` and `!x`) is silently ignored. The clause is stored with its
+    /// literals in sorted order. Clauses of up to 8 literals (every
+    /// Tseitin gate) are normalized in a stack buffer.
     ///
     /// # Panics
     ///
@@ -187,24 +193,43 @@ impl Solver {
         if !self.ok {
             return false;
         }
-        let mut c: Vec<Lit> = Vec::with_capacity(lits.len());
-        let mut sorted = lits.to_vec();
-        sorted.sort();
-        sorted.dedup();
-        for &l in &sorted {
+        let mut inline = [Lit(0); INLINE_CLAUSE];
+        let mut heap;
+        let sorted: &mut [Lit] = if lits.len() <= INLINE_CLAUSE {
+            inline[..lits.len()].copy_from_slice(lits);
+            &mut inline[..lits.len()]
+        } else {
+            heap = lits.to_vec();
+            &mut heap
+        };
+        sorted.sort_unstable();
+        // One pass drops duplicates, dead literals and tautologies, moving
+        // the live literals to the front (`len <= i`, so unread ones stay).
+        let mut len = 0;
+        let mut prev = None;
+        for i in 0..sorted.len() {
+            let l = sorted[i];
+            if prev == Some(l) {
+                continue; // duplicate
+            }
+            if prev == Some(!l) {
+                return true; // tautology: sorted codes put `x` right before `!x`
+            }
+            prev = Some(l);
             assert!(
                 l.var().index() < self.num_vars(),
                 "literal from foreign solver"
             );
-            if sorted.contains(&!l) {
-                return true; // tautology
-            }
             match self.value_lit(l) {
                 Some(true) => return true, // already satisfied at level 0
                 Some(false) => continue,   // literal is dead
-                None => c.push(l),
+                None => {
+                    sorted[len] = l;
+                    len += 1;
+                }
             }
         }
+        let c = &sorted[..len];
         match c.len() {
             0 => {
                 self.ok = false;
@@ -218,7 +243,7 @@ impl Solver {
                 self.ok
             }
             _ => {
-                self.attach(c, false);
+                self.attach(c.to_vec(), false);
                 true
             }
         }
@@ -255,12 +280,16 @@ impl Solver {
             let p = self.trail[self.qhead];
             self.qhead += 1;
             self.stats.propagations += 1;
+            // Compact p's watch list in place: watches that stay are moved
+            // down to `kept`, in visit order; the read index `i` leads.
             let mut ws = std::mem::take(&mut self.watches[p.index()]);
-            let mut kept = Vec::with_capacity(ws.len());
+            let mut kept = 0;
+            let mut i = 0;
             let mut conflict = None;
-            let mut it = ws.drain(..);
-            for cid in it.by_ref() {
-                let false_lit = !p;
+            let false_lit = !p;
+            while i < ws.len() {
+                let cid = ws[i];
+                i += 1;
                 // Normalize: watched false literal at position 1.
                 {
                     let c = &mut self.clauses[cid as usize];
@@ -271,7 +300,8 @@ impl Solver {
                 }
                 let first = self.clauses[cid as usize].lits[0];
                 if self.value_lit(first) == Some(true) {
-                    kept.push(cid);
+                    ws[kept] = cid;
+                    kept += 1;
                     continue;
                 }
                 // Look for a replacement watch.
@@ -289,15 +319,18 @@ impl Solver {
                     continue; // moved to another list
                 }
                 // Unit or conflicting on `first`.
-                kept.push(cid);
+                ws[kept] = cid;
+                kept += 1;
                 if self.value_lit(first) == Some(false) {
                     conflict = Some(cid);
                     break;
                 }
                 self.enqueue(first, cid);
             }
-            kept.extend(it);
-            self.watches[p.index()] = kept;
+            // After a conflict the unvisited watches stay, in order.
+            ws.copy_within(i.., kept);
+            ws.truncate(kept + ws.len() - i);
+            self.watches[p.index()] = ws;
             if conflict.is_some() {
                 self.qhead = self.trail.len();
                 return conflict;
@@ -338,9 +371,9 @@ impl Solver {
         let mut index = self.trail.len();
         loop {
             self.bump_clause(confl);
-            let lits = self.clauses[confl as usize].lits.clone();
             let skip = usize::from(p.is_some());
-            for &q in &lits[skip..] {
+            for k in skip..self.clauses[confl as usize].lits.len() {
+                let q = self.clauses[confl as usize].lits[k];
                 let v = q.var();
                 if !self.seen[v.index()] && self.level[v.index()] > 0 {
                     self.seen[v.index()] = true;

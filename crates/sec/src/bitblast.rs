@@ -4,9 +4,46 @@
 //! Gate encoders allocate fresh variables and add the defining clauses to
 //! the underlying [`Solver`].
 
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
 use dfv_bits::Bv;
 use dfv_rtl::ir::{BinOp, UnOp};
 use dfv_sat::{Lit, Solver};
+
+/// A gate cache: one packed operand pair (see [`gate_key`]) to its output
+/// literal. Only ever probed and inserted, never iterated, so the hasher's
+/// order cannot leak into the CNF.
+type GateCache = HashMap<u64, Lit, BuildHasherDefault<GateHasher>>;
+
+/// The cache key of the unordered operand pair `{a, b}`: the smaller
+/// literal code in the high half.
+fn gate_key(a: Lit, b: Lit) -> u64 {
+    let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
+    (lo.index() as u64) << 32 | hi.index() as u64
+}
+
+/// FxHash-style multiplicative hasher for [`GateCache`]. Its keys are one
+/// `u64` of solver literals, where SipHash's per-key setup would cost more
+/// than the Tseitin clauses a hit saves.
+#[derive(Default)]
+struct GateHasher(u64);
+
+impl Hasher for GateHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b.into());
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 /// A bit-blasting context over a [`Solver`].
 ///
@@ -20,8 +57,8 @@ pub struct BitBlaster<'a> {
     /// unrolling re-encodes mostly-identical combinational cones every
     /// cycle, and consing collapses the shared structure — the same trick
     /// AIG-based equivalence checkers rely on.
-    and_cache: std::collections::HashMap<(Lit, Lit), Lit>,
-    xor_cache: std::collections::HashMap<(Lit, Lit), Lit>,
+    and_cache: GateCache,
+    xor_cache: GateCache,
 }
 
 impl<'a> BitBlaster<'a> {
@@ -32,8 +69,8 @@ impl<'a> BitBlaster<'a> {
         BitBlaster {
             solver,
             true_lit: t,
-            and_cache: std::collections::HashMap::new(),
-            xor_cache: std::collections::HashMap::new(),
+            and_cache: GateCache::default(),
+            xor_cache: GateCache::default(),
         }
     }
 
@@ -90,7 +127,7 @@ impl<'a> BitBlaster<'a> {
         if a == !b {
             return self.false_lit();
         }
-        let key = if a <= b { (a, b) } else { (b, a) };
+        let key = gate_key(a, b);
         if let Some(&o) = self.and_cache.get(&key) {
             return o;
         }
@@ -139,7 +176,8 @@ impl<'a> BitBlaster<'a> {
             invert = !invert;
         }
         let (x, y) = if x <= y { (x, y) } else { (y, x) };
-        if let Some(&o) = self.xor_cache.get(&(x, y)) {
+        let key = gate_key(x, y);
+        if let Some(&o) = self.xor_cache.get(&key) {
             return if invert { !o } else { o };
         }
         let o = self.solver.new_var().positive();
@@ -147,7 +185,7 @@ impl<'a> BitBlaster<'a> {
         self.solver.add_clause(&[x, y, !o]);
         self.solver.add_clause(&[!x, y, o]);
         self.solver.add_clause(&[x, !y, o]);
-        self.xor_cache.insert((x, y), o);
+        self.xor_cache.insert(key, o);
         if invert {
             !o
         } else {

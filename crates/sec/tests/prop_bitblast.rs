@@ -1,16 +1,21 @@
 //! Soundness fuzz: on random expression DAGs, the bit-blaster must agree
 //! with the concrete cycle simulator — the two independent implementations
-//! of the IR semantics.
-// Gated: property-based tests depend on the external `proptest` crate,
-// which offline builds cannot fetch. Enable with `--features proptest-tests`
-// in an environment that can resolve crates.io dependencies.
-#![cfg(feature = "proptest-tests")]
+//! of the IR semantics — and every module must prove equivalent to itself.
+//! The bit-blaster's AND/XOR gate caches share every repeated gate, so a
+//! cache that hands back the wrong literal shows up here as a wrong bit.
+//!
+//! Uses the repo's own `SplitMix64` instead of `proptest` so the suite
+//! runs offline unconditionally. Every case draws its module from its own
+//! seed, and a failing assertion prints that seed instead of shrinking:
+//! `SplitMix64::new(seed)` rebuilds the exact module and inputs.
 
-use dfv_bits::Bv;
+use dfv_bits::{Bv, SplitMix64};
 use dfv_rtl::{ModuleBuilder, Simulator};
 use dfv_sat::{SolveResult, Solver};
-use dfv_sec::{model_word, Binding, BitBlaster, EquivSpec};
-use proptest::prelude::*;
+use dfv_sec::{model_word, Binding, BitBlaster, CheckOptions, Encoding, EquivSpec};
+
+/// Module cases per property.
+const CASES: u64 = 256;
 
 /// A recipe for one random combinational module.
 #[derive(Debug, Clone)]
@@ -19,12 +24,26 @@ struct Recipe {
     ops: Vec<(u8, usize, usize)>, // (op selector, operand indices)
 }
 
-fn recipe() -> impl Strategy<Value = Recipe> {
-    (
-        proptest::collection::vec(1u32..12, 2..4),
-        proptest::collection::vec((0u8..22, any::<usize>(), any::<usize>()), 3..25),
-    )
-        .prop_map(|(input_widths, ops)| Recipe { input_widths, ops })
+fn below(rng: &mut SplitMix64, n: u64) -> u64 {
+    rng.next_u64() % n
+}
+
+/// Two or three inputs of 1–11 bits, then 3–24 operators over the nodes
+/// built so far.
+fn recipe(rng: &mut SplitMix64) -> Recipe {
+    let input_widths = (0..2 + below(rng, 2))
+        .map(|_| 1 + below(rng, 11) as u32)
+        .collect();
+    let ops = (0..3 + below(rng, 22))
+        .map(|_| {
+            (
+                below(rng, 22) as u8,
+                rng.next_u64() as usize,
+                rng.next_u64() as usize,
+            )
+        })
+        .collect();
+    Recipe { input_widths, ops }
 }
 
 /// Like [`recipe`], but excluding multiply/divide/remainder (selectors
@@ -34,15 +53,22 @@ fn recipe() -> impl Strategy<Value = Recipe> {
 /// self-equivalence fuzz sticks to the operators SAT handles well. The
 /// multiplier/divider encodings themselves are exhaustively validated on
 /// concrete values in `bitblast::tests`.
-fn cheap_recipe() -> impl Strategy<Value = Recipe> {
-    recipe().prop_map(|mut r| {
-        for op in &mut r.ops {
-            if (op.0 % 22) >= 2 && (op.0 % 22) <= 6 {
-                op.0 = 0; // replace with add
-            }
+fn cheap_recipe(rng: &mut SplitMix64) -> Recipe {
+    let mut r = recipe(rng);
+    for op in &mut r.ops {
+        if (2..=6).contains(&(op.0 % 22)) {
+            op.0 = 0; // replace with add
         }
-        r
-    })
+    }
+    r
+}
+
+/// Runs `check` on [`CASES`] cases, each from its own seed.
+fn for_each_case(base: u64, mut check: impl FnMut(u64, &mut SplitMix64)) {
+    for case in 0..CASES {
+        let seed = base.wrapping_add(case);
+        check(seed, &mut SplitMix64::new(seed));
+    }
 }
 
 /// Builds the module and returns it; node list grows as ops apply to
@@ -146,44 +172,93 @@ fn resize(b: &mut ModuleBuilder, y: dfv_rtl::NodeId, x: dfv_rtl::NodeId) -> dfv_
     b.resize_zext(y, w)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn bitblast_matches_simulator(r in recipe(), seeds in proptest::collection::vec(any::<u64>(), 4)) {
-        let module = build(&r);
+#[test]
+fn bitblast_matches_simulator() {
+    for_each_case(0xB17_0001_0000, |seed, rng| {
+        let module = build(&recipe(rng));
+        let seeds: Vec<u64> = (0..4).map(|_| rng.next_u64()).collect();
         // Concrete inputs.
         let inputs: Vec<(String, Bv)> = module
             .inputs
             .iter()
             .enumerate()
-            .map(|(i, p)| (p.name.clone(), Bv::from_u64(p.width, seeds[i % seeds.len()])))
+            .map(|(i, p)| {
+                (
+                    p.name.clone(),
+                    Bv::from_u64(p.width, seeds[i % seeds.len()]),
+                )
+            })
             .collect();
         // Concrete evaluation.
         let mut sim = Simulator::new(module.clone()).unwrap();
-        let refs: Vec<(&str, Bv)> = inputs.iter().map(|(n, v)| (n.as_str(), v.clone())).collect();
+        let refs: Vec<(&str, Bv)> = inputs
+            .iter()
+            .map(|(n, v)| (n.as_str(), v.clone()))
+            .collect();
         let expect = sim.eval_comb(&refs)["out"].clone();
-        // Symbolic evaluation with the same constants.
-        let mut solver = Solver::new();
-        let mut bb = BitBlaster::new(&mut solver);
-        let words: Vec<Vec<dfv_sat::Lit>> = inputs.iter().map(|(_, v)| bb.constant(v)).collect();
-        let cyc = dfv_sec::eval_comb_symbolic(&mut bb, &module, &words);
-        let out = cyc.output(&module, "out");
-        drop(bb);
-        prop_assert_eq!(solver.solve(), SolveResult::Sat);
-        let got = model_word(&solver, &out);
-        prop_assert_eq!(got, expect);
-    }
+        assert_eq!(blast(&module, &inputs, false), expect, "seed {seed:#x}");
+        assert_eq!(
+            blast(&module, &inputs, true),
+            expect,
+            "seed {seed:#x}, pinned inputs"
+        );
+    });
+}
 
-    #[test]
-    fn self_equivalence_holds(r in cheap_recipe()) {
-        // Every module is transaction-equivalent to itself in one cycle.
-        let module = build(&r);
+/// Bit-blasts `module`, solves, and reads `out` back from the model.
+/// With constant input words almost every gate folds while it is built;
+/// with `pinned`, the inputs are fresh variables fixed by unit clauses
+/// added after encoding, so every gate is allocated and goes through the
+/// gate caches — a cache handing back a wrong literal yields a wrong bit.
+fn blast(module: &dfv_rtl::Module, inputs: &[(String, Bv)], pinned: bool) -> Bv {
+    let mut solver = Solver::new();
+    let mut bb = BitBlaster::new(&mut solver);
+    let words: Vec<Vec<dfv_sat::Lit>> = inputs
+        .iter()
+        .map(|(_, v)| {
+            if pinned {
+                bb.fresh_word(v.width())
+            } else {
+                bb.constant(v)
+            }
+        })
+        .collect();
+    let cyc = dfv_sec::eval_comb_symbolic(&mut bb, module, &words);
+    let out = cyc.output(module, "out");
+    if pinned {
+        for (word, (_, v)) in words.iter().zip(inputs) {
+            for (&l, bit) in word.iter().zip(v.iter_bits()) {
+                bb.assert_lit(if bit { l } else { !l });
+            }
+        }
+    }
+    drop(bb);
+    assert_eq!(solver.solve(), SolveResult::Sat);
+    model_word(&solver, &out)
+}
+
+#[test]
+fn self_equivalence_holds() {
+    // Every module is transaction-equivalent to itself in one cycle, on
+    // the raw miter (both copies bit-blasted) and on the production
+    // rewrite.
+    for_each_case(0xB17_0002_0000, |seed, rng| {
+        let module = build(&cheap_recipe(rng));
         let mut spec = EquivSpec::new(1).compare("out", "out", 0);
         for p in &module.inputs {
             spec = spec.bind(&p.name, 0, Binding::Slm(p.name.clone()));
         }
-        let report = dfv_sec::check_equivalence(&module, &module, &spec).unwrap();
-        prop_assert!(report.outcome.is_equivalent());
-    }
+        for encoding in [Encoding::Reference, Encoding::Rewritten] {
+            let opts = CheckOptions {
+                encoding,
+                ..CheckOptions::default()
+            };
+            let report = dfv_sec::check_equivalence_with(&module, &module, &spec, &opts).unwrap();
+            assert!(
+                report.outcome.is_equivalent(),
+                "seed {seed:#x}, {encoding:?}: {:?}",
+                report.outcome
+            );
+        }
+    });
 }

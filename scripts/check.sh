@@ -157,6 +157,11 @@ run cargo run --release -q -p dfv-bench --bin bench -- sec --smoke \
     --out "$obs_dir/bench_sec2_full.json" --canonical "$obs_dir/bench_sec2.json" > /dev/null
 run cmp "$obs_dir/bench_sec1.json" "$obs_dir/bench_sec2.json"
 run cargo test -q --release -p dfv-sec --test prop_sweep
+# Seeded soundness suites under every Equivalent verdict: the CDCL solver
+# against brute force (clause intake with long, duplicate and tautological
+# clauses included), and the bit-blaster against the simulator.
+run cargo test -q --release -p dfv-sat --test prop_solver
+run cargo test -q --release -p dfv-sec --test prop_bitblast
 # Translation validation of the word-level rewriter every check encodes
 # through: optimize(m) against m, exhaustively, on the reference simulator.
 run cargo test -q --release -p dfv-rtl --test opt_tv
