@@ -27,7 +27,7 @@
 //! the cycle counts for fast gating runs.
 //!
 //! The `sec` subcommand runs the miter-encoding sweep: every SEC
-//! workload checked under the Reference, Rewritten and Swept encodings
+//! workload checked under the Reference and Rewritten encodings
 //! with verdict and counterexample-location parity asserted inside the
 //! harness, written to `BENCH_sec.json`. Same
 //! `--smoke`/`--out`/`--canonical` contract.

@@ -1,6 +1,6 @@
-//! E17 — the SAT-sweeping miter front-end: word-level rewriting plus
-//! simulation-guided fraiging before CNF, measured under each of the
-//! three miter encodings with verdict parity gated per workload.
+//! E17 — word-level rewriting before CNF: every miter measured under the
+//! raw `Reference` encoding and the production `Rewritten` one, with
+//! verdict parity gated per workload.
 //!
 //! Two halves, one report:
 //!
@@ -8,16 +8,16 @@
 //!   ([`crate::secbench::sec_bench_report`]): commuted multipliers, a
 //!   multiply-accumulate, reassociated adders, an FMA mantissa slice, the
 //!   memory-system fast bank, and a seeded-bug falsification. Each
-//!   workload is checked under `Reference` (off), `Rewritten` (prod, the
-//!   default) and `Swept` (on); the verdicts and counterexample mismatch
-//!   locations are asserted identical before any number lands.
+//!   workload is checked under `Reference` (off) and `Rewritten` (prod, the
+//!   default); the verdicts and counterexample mismatch locations are
+//!   asserted identical before any number lands.
 //! * **The cliff** — commuted multiplier miters at widths the raw
 //!   `Reference` encoding cannot finish: it runs under a hard conflict
-//!   budget and degrades to Inconclusive, while the production and swept
-//!   encodings prove the same miter outright in milliseconds. The gate
-//!   here is monotonicity, not parity: an optimizing encoding may *rescue*
-//!   a proof the raw path cannot afford, but no two may return
-//!   contradictory Equivalent/NotEquivalent verdicts.
+//!   budget and degrades to Inconclusive, while the production encoding
+//!   proves the same miter outright in milliseconds. The gate here is
+//!   monotonicity, not parity: the rewrite may *rescue* a proof the raw
+//!   path cannot afford, but the two may never return contradictory
+//!   Equivalent/NotEquivalent verdicts.
 //!
 //! Wall-clock lives only in the report's timing section; every counter is
 //! a pure function of the fixed workloads.
@@ -41,8 +41,8 @@ const CLIFF_WIDTHS: [u32; 3] = [8, 12, 16];
 /// # Panics
 ///
 /// Panics if an encoding changes any workload's verdict or counterexample
-/// locations (the workload sweep), if the rewritten or swept cliff miters
-/// fail to prove, or if a cliff miter gets contradictory verdicts.
+/// locations (the workload sweep), if a rewritten cliff miter fails to
+/// prove, or if a cliff miter gets contradictory verdicts.
 pub fn e17_report() -> RunReport {
     let mut rep = secbench::sec_bench_report(false);
 
@@ -87,10 +87,10 @@ pub fn e17_report() -> RunReport {
 }
 
 /// Runs E17 and renders both tables.
-pub fn e17_sat_sweeping() -> String {
+pub fn e17_word_rewriting() -> String {
     let rep = e17_report();
     let mut out = String::from(
-        "E17 — SAT-sweeping miter front-end: word-level rewriting + simulation-guided\nfraiging before CNF, verdict parity gated per workload\n\n",
+        "E17 — word-level rewriting before CNF, verdict parity gated per workload\n\n",
     );
     out.push_str(&secbench::render_sec_bench(&rep));
 
@@ -128,14 +128,11 @@ pub fn e17_sat_sweeping() -> String {
             "prod verdict",
             "prod conflicts",
             "prod us",
-            "on verdict",
-            "on conflicts",
-            "on us",
         ],
         &rows,
     ));
     out.push_str(
-        "\nthe raw Reference miter (off) exhausts its conflict budget and degrades to\nInconclusive on every width; the production rewrite (prod) and the swept encoding\n(on) prove each miter with zero solver conflicts. An optimizing encoding may\nrescue a proof the raw path cannot afford, but contradictory verdicts are\nasserted impossible before this table is printed.\n",
+        "\nthe raw Reference miter (off) exhausts its conflict budget and degrades to\nInconclusive on every width; the production rewrite (prod) proves each miter\nwith zero solver conflicts. The rewrite may rescue a proof the raw path cannot\nafford, but contradictory verdicts are asserted impossible before this table\nis printed.\n",
     );
     out
 }
@@ -160,11 +157,9 @@ mod tests {
             matches!(off.outcome, EquivOutcome::Inconclusive { .. }),
             "raw mul8 commutativity must exhaust a 500-conflict budget"
         );
-        for encoding in [Encoding::Rewritten, Encoding::Swept] {
-            opts.encoding = encoding;
-            let on = check_equivalence_with(&slm, &rtl, &spec, &opts).unwrap();
-            assert!(on.outcome.is_equivalent(), "{:?}", on.outcome);
-            assert_eq!(on.solver_stats.conflicts, 0);
-        }
+        opts.encoding = Encoding::Rewritten;
+        let prod = check_equivalence_with(&slm, &rtl, &spec, &opts).unwrap();
+        assert!(prod.outcome.is_equivalent(), "{:?}", prod.outcome);
+        assert_eq!(prod.solver_stats.conflicts, 0);
     }
 }

@@ -27,7 +27,7 @@ pub use e13::{e13_crash_resume, e13_plan, e13_report};
 pub use e14::{e14_report, e14_serve};
 pub use e15::{e15_lane_batching, e15_report};
 pub use e16::{e16_bytecode_vm, e16_report};
-pub use e17::{e17_report, e17_sat_sweeping};
+pub use e17::{e17_report, e17_word_rewriting};
 pub use e2::e2_simulation_speed;
 pub use e3::e3_sec_vs_simulation;
 pub use e4::e4_timing_alignment;
@@ -56,7 +56,7 @@ pub fn run(id: &str) -> Option<String> {
         "e14" => e14_serve(),
         "e15" => e15_lane_batching(),
         "e16" => e16_bytecode_vm(),
-        "e17" => e17_sat_sweeping(),
+        "e17" => e17_word_rewriting(),
         _ => return None,
     })
 }

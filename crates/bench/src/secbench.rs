@@ -1,14 +1,13 @@
 //! The SEC front-end benchmark behind `bench sec` and E17: every miter
-//! workload is checked under each of `dfv-sec`'s three [`Encoding`]s —
-//! `off` (the raw bit-blasted `Reference` miter, the oracle), `prod` (the
-//! production `Rewritten` encoding: word-level rewriting only) and `on`
-//! (`Swept`: rewriting + simulation-guided fraiging) — and the three runs'
-//! *verdicts* and counterexample mismatch locations are asserted identical
-//! before any number lands in the report. The comparable payload is the deterministic counter set
-//! (SAT conflicts, CNF size, sweep statistics, a structural
-//! counterexample hash); wall-clock lives only in the timing section, so
-//! the canonical JSON reproduces byte-for-byte across processes while the
-//! full JSON still carries the measured speedup.
+//! workload is checked under both of `dfv-sec`'s [`Encoding`]s — `off`
+//! (the raw bit-blasted `Reference` miter, the oracle) and `prod` (the
+//! production `Rewritten` encoding: word-level rewriting before CNF) — and
+//! the two runs' *verdicts* and counterexample mismatch locations are
+//! asserted identical before any number lands in the report. The
+//! comparable payload is the deterministic counter set (SAT conflicts, CNF
+//! size, a structural counterexample hash); wall-clock lives only in the
+//! timing section, so the canonical JSON reproduces byte-for-byte across
+//! processes while the full JSON still carries the measured speedup.
 //!
 //! The counterexample hash folds only mismatch *locations* (output names
 //! and the RTL sample cycle): the encoding legitimately changes which
@@ -22,18 +21,15 @@ use dfv_sec::{
     check_equivalence_with, Binding, CheckOptions, Encoding, EquivOutcome, EquivReport, EquivSpec,
 };
 
-/// Wall-clock repetitions per workload; the three encodings' runs are
+/// Wall-clock repetitions per workload; the two encodings' runs are
 /// interleaved within each repetition (same rationale as the simulator
 /// sweep: the *ratio* is the measurement, so every side must see the same
 /// load).
 const TIMING_REPS: usize = 5;
 
 /// The report tag of each encoding, in column order.
-pub(crate) const ENCODINGS: [(&str, Encoding); 3] = [
-    ("off", Encoding::Reference),
-    ("prod", Encoding::Rewritten),
-    ("on", Encoding::Swept),
-];
+pub(crate) const ENCODINGS: [(&str, Encoding); 2] =
+    [("off", Encoding::Reference), ("prod", Encoding::Rewritten)];
 
 /// One named miter workload: both models, the transaction spec, and
 /// whether the pair is equivalent by construction (checked, not trusted).
@@ -44,7 +40,7 @@ struct SecWorkload {
 }
 
 /// `a*b` versus `b*a`, zero-extended to the full product width. The
-/// classic CDCL cliff: the unswept miter is exponential in the operand
+/// classic CDCL cliff: the raw miter is exponential in the operand
 /// width, while commutative canonicalization collapses the two cones to
 /// the same literals.
 fn mul_comm(smoke: bool) -> (Module, Module, EquivSpec) {
@@ -129,8 +125,8 @@ fn madd_comm(smoke: bool) -> (Module, Module, EquivSpec) {
 
 /// `(a+b)+c` versus `(c+a)+b`: associativity, which the word-level GVN
 /// deliberately does *not* rewrite. Here the structural collapse fails
-/// and the sweep has to earn its merges with budgeted SAT proofs — the
-/// honest cost model for the fraiging stage.
+/// and the solver pays for the adder chains on both encodings — the row
+/// a reassociation rule in the rewriter would have to win.
 fn add_assoc(smoke: bool) -> (Module, Module, EquivSpec) {
     let w = if smoke { 8 } else { 16 };
     let mut sb = ModuleBuilder::new("slm_assoc");
@@ -163,7 +159,7 @@ fn add_assoc(smoke: bool) -> (Module, Module, EquivSpec) {
 /// alignment, sum, one-step normalization — with the RTL's multiply and
 /// add commuted and its datapath decorated with `|0` / `^0` identities
 /// the word-level rewriter must strip. The significand multiplier
-/// dominates the unswept miter; sweeping collapses it structurally.
+/// dominates the raw miter; rewriting collapses it structurally.
 fn fpu_slice(smoke: bool) -> (Module, Module, EquivSpec) {
     let mw = if smoke { 4 } else { 6 };
     let pw = 2 * mw + 1; // product plus one guard bit of headroom
@@ -219,7 +215,7 @@ fn fpu_slice(smoke: bool) -> (Module, Module, EquivSpec) {
 
 /// The memory-system design's fast bank (1-cycle ROM latency), SLM
 /// elaborated from its conditioned C source — a sequential miter with
-/// real memories and `Free` tag pins, measuring sweep overhead on a
+/// real memories and `Free` tag pins, measuring rewrite overhead on a
 /// workload the raw path already handles well.
 fn memsys_fast(_smoke: bool) -> (Module, Module, EquivSpec) {
     let table = [3u8, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9, 3];
@@ -323,7 +319,7 @@ pub fn sec_bench_report(smoke: bool) -> RunReport {
         // repetition so load drift cannot skew the ratios. The verdicts
         // and counters are deterministic — identical across repetitions
         // — so only the first repetition's reports are kept.
-        let mut best = [std::time::Duration::MAX; 3];
+        let mut best = [std::time::Duration::MAX; ENCODINGS.len()];
         let mut kept: Vec<EquivReport> = Vec::new();
         for rep_i in 0..TIMING_REPS {
             for (i, (_, encoding)) in ENCODINGS.iter().enumerate() {
@@ -383,22 +379,10 @@ pub fn sec_bench_report(smoke: bool) -> RunReport {
                 r.cnf_clauses as u64,
             );
         }
-        let sw = kept[2].sweep.expect("swept run carries sweep stats");
-        rep.set_counter(format!("sec.{}.sweep.classes", w.name), sw.classes);
-        rep.set_counter(format!("sec.{}.sweep.candidates", w.name), sw.candidates);
-        rep.set_counter(format!("sec.{}.sweep.proved", w.name), sw.proved);
-        rep.set_counter(format!("sec.{}.sweep.refuted", w.name), sw.refuted);
-        rep.set_counter(format!("sec.{}.sweep.merged_lits", w.name), sw.merged_lits);
-        rep.set_counter(
-            format!("sec.{}.sweep.proof_conflicts", w.name),
-            sw.proof_conflicts,
+        rep.set_value(
+            format!("conflicts_off_over_prod_x100.{}", w.name),
+            Json::UInt(off.solver_stats.conflicts * 100 / kept[1].solver_stats.conflicts.max(1)),
         );
-        for (tag, r) in [("prod", &kept[1]), ("on", &kept[2])] {
-            rep.set_value(
-                format!("conflicts_off_over_{tag}_x100.{}", w.name),
-                Json::UInt(off.solver_stats.conflicts * 100 / r.solver_stats.conflicts.max(1)),
-            );
-        }
     }
     rep
 }
@@ -413,11 +397,11 @@ fn phase_us(rep: &RunReport, workload: &str, tag: &str) -> u128 {
         .sum()
 }
 
-/// Renders the sweep as a table: one row per workload, conflicts and
+/// Renders the benchmark as a table: one row per workload, conflicts and
 /// wall-clock under each encoding.
 pub fn render_sec_bench(rep: &RunReport) -> String {
     let mut out = String::from(
-        "SEC miter encodings: raw bit-blasted miter (off, the Reference oracle) vs\nword-level rewriting (prod, the Rewritten default) vs rewriting + simulation-guided\nfraiging (on, Swept), verdict parity asserted per workload\n\n",
+        "SEC miter encodings: raw bit-blasted miter (off, the Reference oracle) vs\nword-level rewriting (prod, the Rewritten default), verdict parity asserted\nper workload\n\n",
     );
     let mut rows = Vec::new();
     for w in &WORKLOADS {
@@ -444,15 +428,13 @@ pub fn render_sec_bench(rep: &RunReport) -> String {
             "verdict",
             "conflicts off",
             "conflicts prod",
-            "conflicts on",
             "off us",
             "prod us",
-            "on us",
         ],
         &rows,
     ));
     out.push_str(
-        "\nconflicts (and all sweep.* counters) are deterministic and form the canonical\nJSON payload; the us columns are measured wall-clock (best of 5, encodings\ninterleaved) and live only in the full JSON's timing section. Verdicts and\ncounterexample mismatch locations are asserted identical across the three\nencodings before the report exists.\n",
+        "\nconflicts (and the vars/clauses counters) are deterministic and form the\ncanonical JSON payload; the us columns are measured wall-clock (best of 5,\nencodings interleaved) and live only in the full JSON's timing section.\nVerdicts and counterexample mismatch locations are asserted identical across\nthe two encodings before the report exists.\n",
     );
     out
 }
@@ -462,22 +444,22 @@ mod tests {
     use super::*;
 
     #[test]
-    fn canonical_json_reproduces_and_sweep_wins_where_promised() {
+    fn canonical_json_reproduces_and_rewrite_wins_where_promised() {
         let a = sec_bench_report(true);
         let b = sec_bench_report(true);
         assert_eq!(a.canonical_json(), b.canonical_json());
         assert!(!a.canonical_json().contains("wall_us"));
         // The two commutativity workloads must show an integer-factor
-        // conflict drop even in smoke mode, and the production encoding
-        // alone must collapse them outright.
+        // conflict drop even in smoke mode; the production encoding
+        // collapses them outright.
         for w in ["mul_comm", "madd_comm"] {
             let off = a.counter(&format!("sec.{w}.off.conflicts"));
-            let on = a.counter(&format!("sec.{w}.on.conflicts"));
+            let prod = a.counter(&format!("sec.{w}.prod.conflicts"));
             assert!(
-                off >= 2 * on.max(1),
-                "{w}: conflicts off {off} vs on {on} — sweep lost its edge"
+                off >= 2 * prod.max(1),
+                "{w}: conflicts off {off} vs prod {prod} — rewrite lost its edge"
             );
-            assert_eq!(a.counter(&format!("sec.{w}.prod.conflicts")), 0, "{w}");
+            assert_eq!(prod, 0, "{w}");
         }
         // The seeded bug is found with matching mismatch locations.
         assert_eq!(a.counter("sec.mul_bug.verdict"), 1);

@@ -782,54 +782,6 @@ impl LaneSim {
         Bv::from_limbs(s.width, &self.val_buf[..limbs_for(s.width)])
     }
 
-    /// Overrides a register's current value on one lane — the batched
-    /// analogue of [`crate::Simulator::set_reg`], used to explore 64
-    /// initial states in one run. Marks the register's fanout dirty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no register has that name, the width differs, or
-    /// `lane >= 64`.
-    pub fn set_reg_lane(&mut self, name: &str, lane: usize, value: Bv) {
-        assert!(lane < LANES, "lane {lane} out of range");
-        let r = self
-            .module
-            .reg_index(name)
-            .unwrap_or_else(|| panic!("no register named {name:?}"));
-        let idx = r.index();
-        assert_eq!(
-            value.width(),
-            self.module.regs[idx].width,
-            "set_reg width mismatch on {name:?}"
-        );
-        let s = self.prog.reg_slots[idx];
-        lane_insert(
-            &mut self.arena[s.off as usize..][..s.width as usize],
-            s.width,
-            lane,
-            value.limbs(),
-        );
-        let (in_dirty, buckets, sched) = (&mut self.in_dirty, &mut self.dirty_levels, &self.sched);
-        for &n in sched.reg_nodes(idx) {
-            if !in_dirty[n as usize] {
-                in_dirty[n as usize] = true;
-                buckets[sched.level_raw(n) as usize].push(n);
-            }
-        }
-        self.dirty = true;
-    }
-
-    /// A node's lane group after evaluation: `width` limbs, limb `i`
-    /// holding bit `i` of all 64 lanes. The transposed form doubles as a
-    /// 64-pattern signature — hashing these limbs compares a node's
-    /// behavior across 64 stimuli with no per-lane extraction, which is
-    /// what the SAT-sweeping candidate detector in `dfv-sec` keys on.
-    pub fn node_lanes(&mut self, node: NodeId) -> &[u64] {
-        self.eval();
-        let s = self.prog.node_slots[node.index()];
-        &self.arena[s.off as usize..][..s.width as usize]
-    }
-
     /// Advances one clock cycle on all 64 lanes: evaluates, then commits
     /// registers (with per-lane enable masking) and memories (read-first,
     /// per lane) at the rising edge.
@@ -1372,18 +1324,6 @@ mod tests {
             }
         }
         assert_eq!(sim.stats().lane_fallback_evals, 0);
-    }
-
-    #[test]
-    fn set_reg_lane_overrides_one_lane() {
-        let mut sim = LaneSim::new(counter_with_enable()).unwrap();
-        sim.poke_splat("en", Bv::from_bool(true));
-        sim.set_reg_lane("count", 3, Bv::from_u64(8, 100));
-        assert_eq!(sim.output_lane("count", 3).to_u64(), 100);
-        assert_eq!(sim.output_lane("count", 2).to_u64(), 0);
-        sim.step();
-        assert_eq!(sim.output_lane("count", 3).to_u64(), 101);
-        assert_eq!(sim.output_lane("count", 2).to_u64(), 1);
     }
 
     #[test]

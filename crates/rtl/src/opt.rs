@@ -1,10 +1,9 @@
 //! Word-level rewriting: structural hashing (GVN), constant folding, and
 //! identity rules over a [`Module`]'s combinational DAG.
 //!
-//! [`optimize`] is the front half of the SAT-sweeping equivalence flow in
-//! `dfv-sec`: it shrinks a module *before* bit-blasting so the CNF the
-//! solver sees never contains work a word-level rewrite could have
-//! discharged. The pass is purely structural — it never touches ports,
+//! [`optimize`] is the front end of `dfv-sec`'s production miter encoding:
+//! it shrinks a module *before* bit-blasting so the CNF the solver sees
+//! never contains work a word-level rewrite could have discharged. The pass is purely structural — it never touches ports,
 //! registers, or memories (all are kept, by name), so counterexample
 //! extraction and replay against the original module still line up — and
 //! it returns a deterministic old→new node map so traces and the

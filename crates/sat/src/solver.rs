@@ -45,8 +45,8 @@ impl SolverStats {
     /// The work done since `baseline` (an earlier snapshot of the same
     /// solver): cumulative counters are subtracted, while `learnts` — a
     /// point-in-time gauge, not a counter — carries the current value.
-    /// Useful for attributing cost to an individual solve phase (e.g. the
-    /// SAT-sweeping proofs inside one equivalence check).
+    /// Useful for attributing cost to an individual solve phase (e.g. one
+    /// depth of an incremental bounded model check).
     pub fn since(&self, baseline: &SolverStats) -> SolverStats {
         SolverStats {
             conflicts: self.conflicts - baseline.conflicts,

@@ -59,69 +59,35 @@ pub struct BmcReport {
 /// Bounded-model-checks that the 1-bit output `property` of `module` is 1
 /// on every one of the first `bound` cycles from reset, for all inputs.
 ///
+/// This is [`check_property_budgeted`] with an unlimited budget: the
+/// unrolling is solved depth by depth, so a returned trace violates at the
+/// *shallowest* reachable depth, and the outcome is never
+/// [`BmcOutcome::Inconclusive`].
+///
 /// # Errors
 ///
 /// Returns [`SecError`] if the output is missing or not 1 bit wide, the
 /// module is not flat, or a memory is too large.
 pub fn check_property(module: &Module, property: &str, bound: u32) -> Result<BmcReport, SecError> {
-    let start = Instant::now();
-    validate_property(module, property, bound)?;
-
-    let mut solver = Solver::new();
-    let mut bb = BitBlaster::new(&mut solver);
-    let mut sym = SymbolicSim::new(&mut bb, module, InitState::Reset)?;
-    let mut input_words: Vec<Vec<Vec<Lit>>> = Vec::new();
-    let mut violated_at: Vec<Lit> = Vec::new();
-    for _ in 0..bound {
-        let inputs: Vec<Vec<Lit>> = module
-            .inputs
-            .iter()
-            .map(|p| bb.fresh_word(p.width))
-            .collect();
-        let cyc = sym.step(&mut bb, &inputs);
-        let prop = cyc.output(module, property);
-        violated_at.push(!prop[0]);
-        input_words.push(inputs);
-    }
-    let mut any = bb.false_lit();
-    for &v in &violated_at {
-        any = bb.or_gate(any, v);
-    }
-    bb.assert_lit(any);
-    drop(bb);
-
-    let cnf_vars = solver.num_vars();
-    let outcome = match solver.solve() {
-        SolveResult::Unsat => BmcOutcome::HoldsUpTo(bound),
-        SolveResult::Sat => BmcOutcome::Violated(Box::new(extract_trace(
-            &solver,
-            module,
-            property,
-            &input_words,
-        ))),
-        // `solve()` is unbudgeted and can never exhaust.
-        SolveResult::Unknown(_) => unreachable!("unbudgeted solve returned Unknown"),
-    };
-    Ok(BmcReport {
-        outcome,
-        cnf_vars,
-        duration: start.elapsed(),
-    })
+    check_property_budgeted_inner(
+        module,
+        property,
+        bound,
+        &Budget::unlimited(),
+        &ObsHook::none(),
+    )
 }
 
-/// Like [`check_property`], but solves *incrementally, depth by depth*
-/// under a resource [`Budget`]: each depth gets one budgeted solve (learnt
-/// clauses carry over), and when the budget runs out the report says how
-/// deep the property *was* proven —
+/// Like [`check_property`], but under a resource [`Budget`]: the unrolling
+/// is solved *incrementally, depth by depth*, each depth gets one budgeted
+/// solve (learnt clauses carry over), and when the budget runs out the
+/// report says how deep the property *was* proven —
 /// [`BmcOutcome::Inconclusive`]`{ holds_up_to, .. }` — instead of
 /// discarding the whole run. The budget's conflict/propagation caps apply
 /// per depth; its wall-clock limits bound the *whole unrolling* (a relative
 /// `timeout` is converted to an absolute deadline at entry — otherwise each
 /// of `bound` depths would get its own fresh timeout), so a 1 ms deadline
 /// returns in bounded time regardless of `bound`.
-///
-/// A side benefit of per-depth solving: the returned trace always violates
-/// at the *shallowest* reachable depth.
 ///
 /// # Errors
 ///
@@ -361,9 +327,9 @@ mod tests {
         let report = check_property(&counter(false), "ok", 16).unwrap();
         match report.outcome {
             BmcOutcome::Violated(trace) => {
-                // The counter needs at least 11 increments to pass 10 (the
-                // solver may return a longer trace that idles first).
-                assert!(trace.violation_cycle >= 11);
+                // The counter needs 11 increments to pass 10, and per-depth
+                // solving reports the shallowest violation.
+                assert_eq!(trace.violation_cycle, 11);
                 assert_eq!(trace.property, "ok");
             }
             other => panic!("expected violation, got {other:?}"),

@@ -13,8 +13,7 @@ use dfv_sat::{Budget, ExhaustedReason, Lit, SolveResult, Solver, SolverStats};
 
 use crate::bitblast::{model_word, BitBlaster};
 use crate::spec::{Binding, EquivSpec, InitState, SecError};
-use crate::sweep::{rtl_site, Encoding, SweepStats, Sweeper, SLM_SITE};
-use crate::unroll::{eval_comb_symbolic, eval_comb_symbolic_hooked, SymbolicSim};
+use crate::unroll::{eval_comb_symbolic, SymbolicSim};
 
 /// One output disagreement within a counterexample.
 #[derive(Debug, Clone, PartialEq)]
@@ -123,6 +122,35 @@ impl EquivOutcome {
     }
 }
 
+/// How the equivalence checker encodes a miter into CNF. Both encodings
+/// reach the same verdict (the `prop_sweep` suite asserts it); they differ
+/// only in the CNF the solver sees and what it costs to build.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum Encoding {
+    /// The raw bit-blasted miter of the caller's modules, with no
+    /// rewriting. Kept as the oracle the production encoding is checked
+    /// against, as `Simulator::new_reference` is for the simulator.
+    Reference,
+    /// Both modules rewritten by `dfv_rtl::optimize` (GVN with commutative
+    /// canonicalization, constant folding, identities, DCE) before any
+    /// literal is allocated, so structurally different but convertible
+    /// logic (`a*b` vs `b*a`) becomes literally identical and collapses
+    /// through the bit-blaster's gate caches. The production encoding.
+    #[default]
+    Rewritten,
+}
+
+/// What the word-level rewrite did to one miter, reported in
+/// [`EquivReport::rewrite`] and mirrored into the
+/// `sec.rewrite.nodes_removed` obs counter.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RewriteStats {
+    /// Total nodes in both modules before word-level rewriting.
+    pub nodes_before: u64,
+    /// Total nodes after rewriting (GVN + folding + DCE).
+    pub nodes_after: u64,
+}
+
 /// Resource limits and degradation policy for one equivalence check.
 ///
 /// The default is an unlimited budget (the solver runs to completion, so
@@ -176,9 +204,9 @@ pub struct EquivReport {
     pub cnf_clauses: usize,
     /// SAT search statistics.
     pub solver_stats: SolverStats,
-    /// What the optimizing front-end did; `None` for
+    /// What the word-level rewrite did; `None` for
     /// [`Encoding::Reference`].
-    pub sweep: Option<SweepStats>,
+    pub rewrite: Option<RewriteStats>,
     /// Wall-clock time of the whole check.
     pub duration: Duration,
 }
@@ -302,17 +330,11 @@ fn check_equivalence_inner(
     let cnf_clauses = ctx.solver.num_clauses();
     obs.add("sec.cnf_vars", cnf_vars as u64);
     obs.add("sec.cnf_clauses", cnf_clauses as u64);
-    if let Some(s) = &ctx.sweep {
-        obs.add("sec.sweep.classes", s.classes);
-        obs.add("sec.sweep.candidates", s.candidates);
-        obs.add("sec.sweep.proved", s.proved);
-        obs.add("sec.sweep.refuted", s.refuted);
-        obs.add("sec.sweep.merged_lits", s.merged_lits);
-        obs.add("sec.sweep.proof_conflicts", s.proof_conflicts);
+    if let Some(s) = &ctx.rewrite {
         // A rewrite may also add nodes (a shift chain whose inner shift
         // stays live gains a fused shift and its amount), so saturate.
         obs.add(
-            "sec.sweep.nodes_removed",
+            "sec.rewrite.nodes_removed",
             s.nodes_before.saturating_sub(s.nodes_after),
         );
     }
@@ -372,7 +394,7 @@ fn check_equivalence_inner(
         cnf_vars,
         cnf_clauses,
         solver_stats: ctx.solver.stats(),
-        sweep: ctx.sweep,
+        rewrite: ctx.rewrite,
         duration: start.elapsed(),
     })
 }
@@ -396,9 +418,9 @@ pub struct PerOutputReport {
     pub verdicts: Vec<OutputVerdict>,
     /// CNF variables allocated (shared across all outputs).
     pub cnf_vars: usize,
-    /// What the optimizing front-end did; `None` for
+    /// What the word-level rewrite did; `None` for
     /// [`Encoding::Reference`].
-    pub sweep: Option<SweepStats>,
+    pub rewrite: Option<RewriteStats>,
     /// Total wall-clock time.
     pub duration: Duration,
 }
@@ -477,7 +499,7 @@ pub fn check_equivalence_per_output_with(
     Ok(PerOutputReport {
         verdicts,
         cnf_vars,
-        sweep: ctx.sweep,
+        rewrite: ctx.rewrite,
         duration: start.elapsed(),
     })
 }
@@ -491,16 +513,13 @@ struct MiterCtx {
     slm_words: HashMap<String, Vec<Lit>>,
     free_words: HashMap<(usize, u32), Vec<Lit>>,
     initial_reg_words: Vec<Vec<Lit>>,
-    sweep: Option<SweepStats>,
+    rewrite: Option<RewriteStats>,
 }
 
-/// Encodes the miter under `encoding`. Unless it is
-/// [`Encoding::Reference`], both modules are first canonicalized by
-/// `dfv_rtl::optimize` and the *optimized* modules are encoded; under
-/// [`Encoding::Swept`] the [`Sweeper`]'s per-node hook also proves and
-/// merges candidate-equal bits as the encoding proceeds (deterministic
-/// order: SLM nodes, then RTL cycles 0..k). The optimizer preserves
-/// ports, registers, and memories by name and order, so counterexample
+/// Encodes the miter under `encoding`. Under [`Encoding::Rewritten`] both
+/// modules are first canonicalized by `dfv_rtl::optimize` and the
+/// *optimized* modules are encoded. The optimizer preserves ports,
+/// registers, and memories by name and order, so counterexample
 /// extraction and concrete replay keep using the caller's original
 /// modules.
 fn build_miter(
@@ -513,17 +532,9 @@ fn build_miter(
     dfv_rtl::check_module(slm)?;
     dfv_rtl::check_module(rtl)?;
 
-    // Stage 1 (word-level rewriting), then for `Swept` stage 2
-    // (signature classes) over the rewritten modules.
     let optimized = match encoding {
         Encoding::Reference => None,
-        Encoding::Rewritten | Encoding::Swept => {
-            Some((dfv_rtl::optimize(slm).0, dfv_rtl::optimize(rtl).0))
-        }
-    };
-    let mut sweeper = match (&optimized, encoding) {
-        (Some((s, r)), Encoding::Swept) => Some(Sweeper::analyze(s, r, spec)?),
-        _ => None,
+        Encoding::Rewritten => Some((dfv_rtl::optimize(slm).0, dfv_rtl::optimize(rtl).0)),
     };
     let nodes_before = (slm.nodes.len() + rtl.nodes.len()) as u64;
     let (slm, rtl) = match &optimized {
@@ -546,9 +557,8 @@ fn build_miter(
         .map(|p| slm_words[&p.name].clone())
         .collect();
 
-    // Environment constraints. Encoded (and asserted) before any sweep
-    // proof runs, so merges are sound relative to the constrained input
-    // space — exactly the space the verdict quantifies over.
+    // Environment constraints: the verdict quantifies over the input
+    // space they admit.
     for c in &spec.constraints {
         let ins: Vec<Vec<Lit>> = c
             .inputs
@@ -561,12 +571,7 @@ fn build_miter(
     }
 
     // SLM evaluation.
-    let slm_cycle = match sweeper.as_mut() {
-        Some(sw) => eval_comb_symbolic_hooked(&mut bb, slm, &slm_input_vec, &mut |bb, n, w| {
-            sw.process_word(bb, SLM_SITE, n, w)
-        }),
-        None => eval_comb_symbolic(&mut bb, slm, &slm_input_vec),
-    };
+    let slm_cycle = eval_comb_symbolic(&mut bb, slm, &slm_input_vec);
 
     // RTL unrolling.
     let mut binding_at: HashMap<(usize, u32), &Binding> = HashMap::new();
@@ -598,12 +603,7 @@ fn build_miter(
                 None => bb.constant(&Bv::zero(p.width)),
             })
             .collect();
-        rtl_cycles.push(match sweeper.as_mut() {
-            Some(sw) => sym.step_hooked(&mut bb, &inputs, &mut |bb, n, w| {
-                sw.process_word(bb, rtl_site(t), n, w)
-            }),
-            None => sym.step(&mut bb, &inputs),
-        });
+        rtl_cycles.push(sym.step(&mut bb, &inputs));
     }
 
     // One (unasserted) difference literal per compare point.
@@ -624,10 +624,9 @@ fn build_miter(
         slm_words,
         free_words,
         initial_reg_words,
-        sweep: optimized.is_some().then(|| SweepStats {
+        rewrite: optimized.is_some().then(|| RewriteStats {
             nodes_before,
             nodes_after: (slm.nodes.len() + rtl.nodes.len()) as u64,
-            ..sweeper.map_or_else(SweepStats::default, |s| s.stats())
         }),
     })
 }
@@ -1261,15 +1260,15 @@ mod tests {
         // stats path, which must not subtract below zero.
         let report = check_equivalence(&slm, &rtl, &spec).unwrap();
         assert!(report.outcome.is_equivalent(), "{:?}", report.outcome);
-        let sweep = report.sweep.expect("default encoding rewrites");
-        assert!(sweep.nodes_after > sweep.nodes_before, "{sweep:?}");
+        let rewrite = report.rewrite.expect("default encoding rewrites");
+        assert!(rewrite.nodes_after > rewrite.nodes_before, "{rewrite:?}");
 
         let rec = dfv_obs::MemoryRecorder::shared();
         let report =
             check_equivalence_observed(&slm, &rtl, &spec, &CheckOptions::default(), rec.clone())
                 .unwrap();
         assert!(report.outcome.is_equivalent());
-        assert_eq!(rec.lock().unwrap().counter("sec.sweep.nodes_removed"), 0);
+        assert_eq!(rec.lock().unwrap().counter("sec.rewrite.nodes_removed"), 0);
     }
 
     #[test]
@@ -1279,21 +1278,19 @@ mod tests {
         // canonicalizes both multipliers to the same operand order, the
         // shared input literals make the two cones literally identical
         // through the gate caches, and the difference folds to constant
-        // false — Equivalent in milliseconds with zero conflicts, in the
-        // production encoding and in the swept one alike.
+        // false — Equivalent in milliseconds with zero conflicts.
         let (slm, rtl, spec) = commuted_mul_pair();
-        for encoding in [Encoding::Rewritten, Encoding::Swept] {
-            let report = check_equivalence_with(&slm, &rtl, &spec, &encoded(encoding)).unwrap();
-            assert!(report.outcome.is_equivalent(), "{:?}", report.outcome);
-            let sweep = report.sweep.expect("front-end ran");
-            assert!(sweep.nodes_after <= sweep.nodes_before);
-            assert_eq!(report.solver_stats.conflicts, 0, "{encoding:?}");
-        }
+        let report =
+            check_equivalence_with(&slm, &rtl, &spec, &encoded(Encoding::Rewritten)).unwrap();
+        assert!(report.outcome.is_equivalent(), "{:?}", report.outcome);
+        let rewrite = report.rewrite.expect("front-end ran");
+        assert!(rewrite.nodes_after <= rewrite.nodes_before);
+        assert_eq!(report.solver_stats.conflicts, 0);
     }
 
     #[test]
     fn encodings_preserve_verdicts_on_fig1() {
-        // Same verdict under every encoding, on both the equivalent and
+        // Same verdict under both encodings, on both the equivalent and
         // the inequivalent orderings; the counterexample must land on the
         // same compare point and replay concretely (extract_and_replay
         // already asserts the replay).
@@ -1303,30 +1300,29 @@ mod tests {
             let reference =
                 check_equivalence_with(&slm, &rtl, &fig1_spec(), &encoded(Encoding::Reference))
                     .unwrap();
-            assert!(reference.sweep.is_none());
-            for encoding in [Encoding::Rewritten, Encoding::Swept] {
-                let on =
-                    check_equivalence_with(&slm, &rtl, &fig1_spec(), &encoded(encoding)).unwrap();
-                assert_eq!(
-                    reference.outcome.is_equivalent(),
-                    on.outcome.is_equivalent()
-                );
-                assert!(on.sweep.is_some());
-                if let (EquivOutcome::NotEquivalent(a), EquivOutcome::NotEquivalent(b)) =
-                    (&reference.outcome, &on.outcome)
-                {
-                    assert_eq!(a.mismatches[0].slm_output, b.mismatches[0].slm_output);
-                    assert_eq!(a.mismatches[0].rtl_cycle, b.mismatches[0].rtl_cycle);
-                }
+            assert!(reference.rewrite.is_none());
+            let rewritten =
+                check_equivalence_with(&slm, &rtl, &fig1_spec(), &encoded(Encoding::Rewritten))
+                    .unwrap();
+            assert_eq!(
+                reference.outcome.is_equivalent(),
+                rewritten.outcome.is_equivalent()
+            );
+            assert!(rewritten.rewrite.is_some());
+            if let (EquivOutcome::NotEquivalent(a), EquivOutcome::NotEquivalent(b)) =
+                (&reference.outcome, &rewritten.outcome)
+            {
+                assert_eq!(a.mismatches[0].slm_output, b.mismatches[0].slm_output);
+                assert_eq!(a.mismatches[0].rtl_cycle, b.mismatches[0].rtl_cycle);
             }
         }
     }
 
     #[test]
-    fn sweep_respects_constraints_and_free_bindings() {
-        // A Free-bound mode pin flips the output; sweeping must still
-        // find the bad mode (signatures randomize free bindings, proofs
-        // run under the same constraint clauses).
+    fn rewrite_respects_constraints_and_free_bindings() {
+        // A Free-bound mode pin flips the output; the rewritten miter must
+        // still find the bad mode, and a Const-bound pin must fold to the
+        // equivalent one.
         let mut sb = ModuleBuilder::new("slm");
         let a = sb.input("a", 8);
         sb.output("y", a);
@@ -1344,14 +1340,16 @@ mod tests {
             .bind("a", 0, Binding::Slm("a".into()))
             .bind("mode", 0, Binding::Free)
             .compare("y", "y", 0);
-        let report = check_equivalence_with(&slm, &rtl, &spec, &encoded(Encoding::Swept)).unwrap();
+        let report =
+            check_equivalence_with(&slm, &rtl, &spec, &encoded(Encoding::Rewritten)).unwrap();
         assert!(!report.outcome.is_equivalent());
 
         let spec = EquivSpec::new(1)
             .bind("a", 0, Binding::Slm("a".into()))
             .bind("mode", 0, Binding::Const(Bv::zero(1)))
             .compare("y", "y", 0);
-        let report = check_equivalence_with(&slm, &rtl, &spec, &encoded(Encoding::Swept)).unwrap();
+        let report =
+            check_equivalence_with(&slm, &rtl, &spec, &encoded(Encoding::Rewritten)).unwrap();
         assert!(report.outcome.is_equivalent());
     }
 

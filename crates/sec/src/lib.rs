@@ -27,7 +27,6 @@ mod bitblast;
 mod bmc;
 mod equiv;
 mod spec;
-mod sweep;
 mod unroll;
 
 pub use bitblast::{model_word, BitBlaster};
@@ -38,13 +37,11 @@ pub use bmc::{
 pub use equiv::{
     check_equivalence, check_equivalence_observed, check_equivalence_per_output,
     check_equivalence_per_output_with, check_equivalence_with, CheckOptions, Counterexample,
-    EquivOutcome, EquivReport, FalsificationSummary, Mismatch, OutputVerdict, PerOutputReport,
+    Encoding, EquivOutcome, EquivReport, FalsificationSummary, Mismatch, OutputVerdict,
+    PerOutputReport, RewriteStats,
 };
 pub use spec::{Binding, ComparePoint, EquivSpec, InitState, SecError};
-pub use sweep::{Encoding, SweepStats};
-pub use unroll::{
-    eval_comb_symbolic, eval_comb_symbolic_hooked, SymbolicCycle, SymbolicSim, MEM_BLAST_LIMIT,
-};
+pub use unroll::{eval_comb_symbolic, SymbolicCycle, SymbolicSim, MEM_BLAST_LIMIT};
 
 // Re-exported so budgeted callers don't need a direct `dfv-sat` dependency.
 pub use dfv_sat::{Budget, ExhaustedReason};

@@ -140,33 +140,12 @@ impl<'m> SymbolicSim<'m> {
     /// or width — the caller (the checker) constructs them from a validated
     /// spec.
     pub fn step(&mut self, bb: &mut BitBlaster<'_>, inputs: &[Vec<Lit>]) -> SymbolicCycle {
-        self.step_hooked(bb, inputs, &mut |_, _, _| {})
-    }
-
-    /// Like [`SymbolicSim::step`], but invokes `hook` on every node's word
-    /// *after* it is computed and *before* any consumer (downstream node,
-    /// register next, memory port) reads it. The hook may rewrite the word
-    /// in place — this is how the SAT sweeper substitutes proven-equal
-    /// representative literals so the rest of the encoding collapses
-    /// through the bit-blaster's gate caches. The hook's `usize` argument
-    /// is the node index within the module.
-    ///
-    /// # Panics
-    ///
-    /// As [`SymbolicSim::step`]; additionally if the hook changes a word's
-    /// width.
-    pub fn step_hooked(
-        &mut self,
-        bb: &mut BitBlaster<'_>,
-        inputs: &[Vec<Lit>],
-        hook: &mut dyn FnMut(&mut BitBlaster<'_>, usize, &mut Vec<Lit>),
-    ) -> SymbolicCycle {
         let m = self.module;
         assert_eq!(inputs.len(), m.inputs.len(), "input count mismatch");
         let mut nodes: Vec<Vec<Lit>> = Vec::with_capacity(m.nodes.len());
         for (i, node) in m.nodes.iter().enumerate() {
             let w = m.node_widths[i];
-            let mut v: Vec<Lit> = match node {
+            let v: Vec<Lit> = match node {
                 Node::Input(idx) => {
                     assert_eq!(inputs[*idx].len(), w as usize, "input width mismatch");
                     inputs[*idx].clone()
@@ -202,8 +181,6 @@ impl<'m> SymbolicSim<'m> {
                 }
             };
             debug_assert_eq!(v.len(), w as usize);
-            hook(bb, i, &mut v);
-            assert_eq!(v.len(), w as usize, "hook must preserve word width");
             nodes.push(v);
         }
         // Clock edge: registers.
@@ -271,24 +248,9 @@ pub fn eval_comb_symbolic(
     module: &Module,
     inputs: &[Vec<Lit>],
 ) -> SymbolicCycle {
-    eval_comb_symbolic_hooked(bb, module, inputs, &mut |_, _, _| {})
-}
-
-/// [`eval_comb_symbolic`] with a per-node rewrite hook (see
-/// [`SymbolicSim::step_hooked`]).
-///
-/// # Panics
-///
-/// As [`eval_comb_symbolic`].
-pub fn eval_comb_symbolic_hooked(
-    bb: &mut BitBlaster<'_>,
-    module: &Module,
-    inputs: &[Vec<Lit>],
-    hook: &mut dyn FnMut(&mut BitBlaster<'_>, usize, &mut Vec<Lit>),
-) -> SymbolicCycle {
     assert!(module.is_combinational(), "module must be combinational");
     let mut sim = SymbolicSim::new(bb, module, InitState::Reset).expect("comb module");
-    sim.step_hooked(bb, inputs, hook)
+    sim.step(bb, inputs)
 }
 
 #[cfg(test)]

@@ -144,13 +144,13 @@ run cargo run --release -q -p dfv-bench --bin experiments -- e16 > /dev/null
 run cargo test -q --release -p dfv-core --test prop_parallel -- --test-threads 8
 run cargo test -q --release -p dfv-core --test prop_crash
 # Offline smoke test: the miter encodings. Every workload is checked under
-# the Reference, Rewritten and Swept encodings with verdict and
+# the Reference and Rewritten encodings with verdict and
 # counterexample-location parity asserted inside the harness (the run
 # panics on any divergence), and the canonical JSON (SAT conflicts, CNF
-# sizes, sweep counters — no wall-clock) must be byte-identical across two
-# separate processes. The
-# seeded three-way verdict-parity property suite then runs in release, and
-# E17 gates the "an encoding never changes a verdict" claim at full width.
+# sizes — no wall-clock) must be byte-identical across two separate
+# processes. The seeded two-way verdict-parity property suite then runs in
+# release, and E17 gates the "an encoding never changes a verdict" claim
+# at full width.
 run cargo run --release -q -p dfv-bench --bin bench -- sec --smoke \
     --out "$obs_dir/bench_sec1_full.json" --canonical "$obs_dir/bench_sec1.json" > /dev/null
 run cargo run --release -q -p dfv-bench --bin bench -- sec --smoke \
@@ -165,6 +165,7 @@ run cargo test -q --release -p dfv-sec --test prop_bitblast
 # Translation validation of the word-level rewriter every check encodes
 # through: optimize(m) against m, exhaustively, on the reference simulator.
 run cargo test -q --release -p dfv-rtl --test opt_tv
+run cargo test -q --release -p dfv-rtl --test prop_netlist
 # Campaign-level counter gate: commuted mul/madd blocks must pass with
 # zero SAT conflicts in the canonical campaign report.
 run cargo test -q --release -p dfv-core --test rewrite_gate
